@@ -307,7 +307,7 @@ _GELU_A = 0.044715
 
 def gelu(a: Tensor) -> Tensor:
     x = a.data
-    inner = _GELU_C * (x + _GELU_A * x**3)
+    inner = _GELU_C * (x + _GELU_A * (x * x * x))
     t = np.tanh(inner)
     out = Tensor(0.5 * x * (1.0 + t))
 

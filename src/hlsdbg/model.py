@@ -132,56 +132,81 @@ def expected_param_count(cfg: ModelConfig) -> int:
     return embed + enc + dec + heads + out
 
 
+def param_spec(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], float]]:
+    """(name, shape, init std) of every parameter, in the order seeded init draws them.
+
+    A std of 0 marks a parameter that starts at zero and draws nothing.
+    """
+    d, f, v = cfg.d_model, cfg.d_ff, cfg.vocab_size
+    spec: list[tuple[str, tuple[int, ...], float]] = []
+
+    def add(name: str, shape: tuple[int, ...], std: float = 0.02) -> None:
+        spec.append((name, shape, std))
+
+    add("src_embed", (v, d))
+    add("pos_enc", (cfg.max_src_len, d))
+    add("tgt_embed", (v, d))
+    add("pos_dec", (cfg.max_tgt_len, d))
+    for i in range(cfg.n_layers_enc):
+        for w in ("wq", "wk", "wv", "wo"):
+            add(f"enc{i}.{w}", (d, d))
+        add(f"enc{i}.w1", (d, f))
+        add(f"enc{i}.b1", (f,), std=0.0)
+        add(f"enc{i}.w2", (f, d))
+        add(f"enc{i}.b2", (d,), std=0.0)
+    for i in range(cfg.n_layers_dec):
+        for w in ("self_wq", "self_wk", "self_wv", "self_wo",
+                  "cross_wq", "cross_wk", "cross_wv", "cross_wo"):
+            add(f"dec{i}.{w}", (d, d))
+        add(f"dec{i}.w1", (d, f))
+        add(f"dec{i}.b1", (f,), std=0.0)
+        add(f"dec{i}.w2", (f, d))
+        add(f"dec{i}.b2", (d,), std=0.0)
+    for head, width in (("head_bug", 1), ("head_type", cfg.n_bug_types)):
+        for j in range(cfg.head_mlp_layers - 1):
+            add(f"{head}.w{j}", (d, d))
+            add(f"{head}.b{j}", (d,), std=0.0)
+        last = cfg.head_mlp_layers - 1
+        add(f"{head}.w{last}", (d, width))
+        add(f"{head}.b{last}", (width,), std=0.0)
+    add("out_w", (d, v))
+    add("out_b", (v,), std=0.0)
+    return spec
+
+
+def dataclass_from_meta(cls, values, what: str, source: str | Path):
+    """`cls(**values)` for a dict read from a file; every malformed value is a DataError."""
+    if not isinstance(values, dict):
+        raise DataError(f"{what} in {source} is not a mapping")
+    unknown = sorted(set(values) - set(cls.__dataclass_fields__))
+    if unknown:
+        raise DataError(f"unknown {what} keys in {source}: {', '.join(unknown)}")
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"bad {what} in {source}: {exc}") from None
+
+
 class DebuggerModel:
     def __init__(self, config: ModelConfig, vocab: Vocab, seed: int = 0):
+        self._bind(config, vocab)
+        rng = np.random.default_rng(seed)
+        dtype = config.np_dtype
+        for name, shape, std in param_spec(config):
+            if std == 0.0:
+                data = np.zeros(shape, dtype=dtype)
+            else:
+                data = (rng.normal(size=shape) * std).astype(dtype)
+            self.params[name] = Tensor(data, requires_grad=True)
+
+    def _bind(self, config: ModelConfig, vocab: Vocab) -> None:
         if len(vocab) != config.vocab_size:
             raise ValueError("config.vocab_size must match the vocabulary")
         self.config = config
         self.vocab = vocab
         self.params: dict[str, Tensor] = {}
-        self._init_params(seed)
 
     # --- parameters ---------------------------------------------------------
-
-    def _add_param(self, rng, name: str, shape: tuple[int, ...], std: float = 0.02) -> None:
-        if std == 0.0:
-            data = np.zeros(shape, dtype=self.config.np_dtype)
-        else:
-            data = (rng.normal(size=shape) * std).astype(self.config.np_dtype)
-        self.params[name] = Tensor(data, requires_grad=True)
-
-    def _init_params(self, seed: int) -> None:
-        cfg = self.config
-        rng = np.random.default_rng(seed)
-        d, f, v = cfg.d_model, cfg.d_ff, cfg.vocab_size
-        self._add_param(rng, "src_embed", (v, d))
-        self._add_param(rng, "pos_enc", (cfg.max_src_len, d))
-        self._add_param(rng, "tgt_embed", (v, d))
-        self._add_param(rng, "pos_dec", (cfg.max_tgt_len, d))
-        for i in range(cfg.n_layers_enc):
-            for w in ("wq", "wk", "wv", "wo"):
-                self._add_param(rng, f"enc{i}.{w}", (d, d))
-            self._add_param(rng, f"enc{i}.w1", (d, f))
-            self._add_param(rng, f"enc{i}.b1", (f,), std=0.0)
-            self._add_param(rng, f"enc{i}.w2", (f, d))
-            self._add_param(rng, f"enc{i}.b2", (d,), std=0.0)
-        for i in range(cfg.n_layers_dec):
-            for w in ("self_wq", "self_wk", "self_wv", "self_wo",
-                      "cross_wq", "cross_wk", "cross_wv", "cross_wo"):
-                self._add_param(rng, f"dec{i}.{w}", (d, d))
-            self._add_param(rng, f"dec{i}.w1", (d, f))
-            self._add_param(rng, f"dec{i}.b1", (f,), std=0.0)
-            self._add_param(rng, f"dec{i}.w2", (f, d))
-            self._add_param(rng, f"dec{i}.b2", (d,), std=0.0)
-        for head, width in (("head_bug", 1), ("head_type", cfg.n_bug_types)):
-            for j in range(cfg.head_mlp_layers - 1):
-                self._add_param(rng, f"{head}.w{j}", (d, d))
-                self._add_param(rng, f"{head}.b{j}", (d,), std=0.0)
-            last = cfg.head_mlp_layers - 1
-            self._add_param(rng, f"{head}.w{last}", (d, width))
-            self._add_param(rng, f"{head}.b{last}", (width,), std=0.0)
-        self._add_param(rng, "out_w", (d, v))
-        self._add_param(rng, "out_b", (v,), std=0.0)
 
     @property
     def parameter_count(self) -> int:
@@ -189,21 +214,28 @@ class DebuggerModel:
 
     # --- transformer pieces ---------------------------------------------------
 
-    def _attention(self, x_q: Tensor, x_kv: Tensor, prefix: str, keep: np.ndarray) -> Tensor:
-        """Multi-head attention; `keep` is (B, 1, T_q or 1, T_kv) with 1 = attend."""
+    def _heads(self, x: Tensor, weight: str) -> Tensor:
+        """Project (B, T, D) by `weight` and split heads: (B, H, T, D/H)."""
         cfg = self.config
-        h, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
-        b, tq = x_q.shape[0], x_q.shape[1]
-        tk = x_kv.shape[1]
+        y = ad.matmul(x, self.params[weight])
+        b, t = y.shape[0], y.shape[1]
+        return ad.transpose(ad.reshape(y, (b, t, cfg.n_heads, cfg.d_model // cfg.n_heads)), (0, 2, 1, 3))
 
-        def split(t: Tensor, length: int) -> Tensor:
-            return ad.transpose(ad.reshape(t, (b, length, h, dh)), (0, 2, 1, 3))
+    def _project_kv(self, x_kv: Tensor, prefix: str) -> tuple[Tensor, Tensor]:
+        """Keys and values of attention `prefix` over `x_kv`, heads split."""
+        return self._heads(x_kv, f"{prefix}wk"), self._heads(x_kv, f"{prefix}wv")
 
-        q = split(ad.matmul(x_q, self.params[f"{prefix}wq"]), tq)
-        k = split(ad.matmul(x_kv, self.params[f"{prefix}wk"]), tk)
-        v = split(ad.matmul(x_kv, self.params[f"{prefix}wv"]), tk)
-        scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-        attn = ad.softmax(ad.mask_logits(scores, keep), axis=-1)
+    def _attend(self, q: Tensor, k: Tensor, v: Tensor, prefix: str, keep: np.ndarray | None) -> Tensor:
+        """Multi-head attention of projected queries over keys/values.
+
+        `keep` is (B, 1, T_q or 1, T_kv) with 1 = attend; None attends to all.
+        """
+        cfg = self.config
+        b, tq = q.shape[0], q.shape[2]
+        scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(cfg.d_model // cfg.n_heads))
+        if keep is not None:
+            scores = ad.mask_logits(scores, keep)
+        attn = ad.softmax(scores, axis=-1)
         ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (b, tq, cfg.d_model))
         return ad.matmul(ctx, self.params[f"{prefix}wo"])
 
@@ -240,7 +272,8 @@ class DebuggerModel:
         attn_keep = keep.reshape(b, 1, 1, s)
         for i in range(cfg.n_layers_enc):
             pre = ad.layer_norm(x)
-            x = ad.add(x, self._attention(pre, pre, f"enc{i}.", attn_keep))
+            q = self._heads(pre, f"enc{i}.wq")
+            x = ad.add(x, self._attend(q, *self._project_kv(pre, f"enc{i}."), f"enc{i}.", attn_keep))
             x = ad.add(x, self._feed_forward(ad.layer_norm(x), f"enc{i}."))
         memory = ad.layer_norm(x)
         return EncoderOutput(
@@ -278,31 +311,68 @@ class DebuggerModel:
         b, t = tgt_ids.shape
         if t > cfg.max_tgt_len:
             raise ValueError(f"target length {t} exceeds max_tgt_len {cfg.max_tgt_len}")
-        x = ad.embedding_lookup(self.params["tgt_embed"], tgt_ids)
-        x = ad.add(x, ad.slice_(self.params["pos_dec"], slice(0, t)))
         causal = np.tril(np.ones((t, t), dtype=cfg.np_dtype))
         self_keep = causal.reshape(1, 1, t, t) * tgt_keep.reshape(b, 1, 1, t)
-        s = enc.memory.shape[1]
-        cross_keep = enc.pad_mask.reshape(b, 1, 1, s)
+        return self._decode(tgt_ids, 0, self._cross(enc), self_keep)
+
+    def _cross(self, enc: EncoderOutput) -> tuple[list[tuple[Tensor, Tensor]], np.ndarray]:
+        """Each decoder layer's cross-attention keys and values, and their mask."""
+        b, s = enc.pad_mask.shape
+        kv = [self._project_kv(enc.memory, f"dec{i}.cross_") for i in range(self.config.n_layers_dec)]
+        return kv, enc.pad_mask.reshape(b, 1, 1, s)
+
+    def _decode(
+        self,
+        tgt_ids: np.ndarray,
+        start: int,
+        cross: tuple[list[tuple[Tensor, Tensor]], np.ndarray],
+        self_keep: np.ndarray | None,
+        cache: list[tuple[Tensor, Tensor] | None] | None = None,
+    ) -> Tensor:
+        """(B, T, V) logits for target ids at positions `start`, `start+1`, ...
+
+        With `cache`, each layer's self-attention keys and values are
+        appended to that layer's cached ones and attended in full, so a
+        greedy step pushes only its new position through the decoder.
+        """
+        cfg = self.config
+        cross_kv, cross_keep = cross
+        t = tgt_ids.shape[1]
+        x = ad.embedding_lookup(self.params["tgt_embed"], tgt_ids)
+        x = ad.add(x, ad.slice_(self.params["pos_dec"], slice(start, start + t)))
         for i in range(cfg.n_layers_dec):
             pre = ad.layer_norm(x)
-            x = ad.add(x, self._attention(pre, pre, f"dec{i}.self_", self_keep))
-            x = ad.add(x, self._attention(ad.layer_norm(x), enc.memory, f"dec{i}.cross_", cross_keep))
+            q = self._heads(pre, f"dec{i}.self_wq")
+            k, v = self._project_kv(pre, f"dec{i}.self_")
+            if cache is not None:
+                if cache[i] is not None:
+                    k = ad.concat([cache[i][0], k], axis=2)
+                    v = ad.concat([cache[i][1], v], axis=2)
+                cache[i] = (k, v)
+            x = ad.add(x, self._attend(q, k, v, f"dec{i}.self_", self_keep))
+            q = self._heads(ad.layer_norm(x), f"dec{i}.cross_wq")
+            x = ad.add(x, self._attend(q, *cross_kv[i], f"dec{i}.cross_", cross_keep))
             x = ad.add(x, self._feed_forward(ad.layer_norm(x), f"dec{i}."))
         x = ad.layer_norm(x)
         return ad.add(ad.matmul(x, self.params["out_w"]), self.params["out_b"])
 
     def generate(self, enc: EncoderOutput, max_len: int | None = None) -> list[int]:
-        """Greedy decode for a single-row encoder output; END is stripped."""
+        """Greedy decode for a single-row encoder output; END is stripped.
+
+        Incremental: cross-attention keys and values are projected from the
+        encoder memory once, and each step feeds one new position against
+        the cached self-attention keys and values. Call it with no tape.
+        """
         if enc.memory.shape[0] != 1:
             raise ValueError("generate expects a batch of one")
         cfg = self.config
         limit = min(max_len or cfg.max_tgt_len, cfg.max_tgt_len) - 1
+        cross = self._cross(enc)
+        cache: list[tuple[Tensor, Tensor] | None] = [None] * cfg.n_layers_dec
         out: list[int] = []
-        for _ in range(max(0, limit)):
-            prefix = np.array([[Vocab.START] + out], dtype=np.int64)
-            keep = np.ones_like(prefix, dtype=cfg.np_dtype)
-            logits = self.decoder_logits(enc, prefix, keep)
+        nxt = Vocab.START
+        for pos in range(max(0, limit)):
+            logits = self._decode(np.array([[nxt]], dtype=np.int64), pos, cross, None, cache)
             nxt = int(np.argmax(logits.data[0, -1]))
             if nxt == Vocab.END:
                 break
@@ -344,24 +414,7 @@ class DebuggerModel:
 
     def predict_record(self, record: BugRecord, given_location: bool = False) -> RecordPrediction:
         ids, is_token, stream = self.record_input_ids(record, given_location)
-        enc = self.encode_ids([ids])
-        with np.errstate(over="ignore"):
-            probs_row = 1.0 / (1.0 + np.exp(-self.bug_logits(enc).data[0].astype(np.float64)))
-        n_real = enc.token_counts[0]
-        kept = [p for p, real in zip(probs_row[:n_real], is_token) if real]
-        token_probs = np.array(kept, dtype=np.float64)
-        type_row = self.type_logits(enc).data[0].astype(np.float64)
-        n_flagged = max(1, sum(record.token_labels))
-        budget = min(3 * n_flagged + 2, self.config.max_tgt_len)
-        gen_ids = self.generate(enc, max_len=budget)
-        return RecordPrediction(
-            token_probs=token_probs,
-            type_logits=type_row,
-            generated_text=self._decode_words(gen_ids),
-            generated_ids=gen_ids,
-            truncated=enc.truncated[0],
-            stream=stream,
-        )
+        return self._predict(ids, is_token, stream, n_flagged=sum(record.token_labels))
 
     def predict_source(self, code: str) -> RecordPrediction:
         """Run the full pipeline on unlabeled source text.
@@ -371,14 +424,25 @@ class DebuggerModel:
         """
         stream = lex(code)
         ids = self.vocab.encode(stream.texts())
+        return self._predict(ids, [True] * len(ids), stream, n_flagged=None)
+
+    def _predict(
+        self, ids: list[int], is_token: list[bool], stream: TokenStream, n_flagged: int | None
+    ) -> RecordPrediction:
+        """Encode, score tokens and type, then decode a fix.
+
+        The generation budget is `3 * n_flagged + 2` tokens; `n_flagged=None`
+        counts the tokens the model itself flags (probability >= 0.5).
+        """
         enc = self.encode_ids([ids])
         with np.errstate(over="ignore"):
             probs_row = 1.0 / (1.0 + np.exp(-self.bug_logits(enc).data[0].astype(np.float64)))
         n_real = enc.token_counts[0]
-        token_probs = probs_row[:n_real].astype(np.float64)
+        token_probs = probs_row[:n_real][np.array(is_token[:n_real], dtype=bool)]
         type_row = self.type_logits(enc).data[0].astype(np.float64)
-        n_flagged = max(1, int(np.sum(token_probs >= 0.5)))
-        budget = min(3 * n_flagged + 2, self.config.max_tgt_len)
+        if n_flagged is None:
+            n_flagged = int(np.sum(token_probs >= 0.5))
+        budget = min(3 * max(1, n_flagged) + 2, self.config.max_tgt_len)
         gen_ids = self.generate(enc, max_len=budget)
         return RecordPrediction(
             token_probs=token_probs,
@@ -406,16 +470,30 @@ class DebuggerModel:
     @classmethod
     def load(cls, path: str | Path) -> "DebuggerModel":
         tensors, meta = load_tensors(path)
-        if "config" not in meta or "vocab" not in meta:
-            raise DataError(f"missing model metadata in {path}")
-        config = ModelConfig(**meta["config"])
-        model = cls(config, Vocab(meta["vocab"]), seed=0)
-        for name, p in model.params.items():
+        return cls.restore(meta, tensors, path)
+
+    @classmethod
+    def restore(cls, meta: dict, tensors: dict[str, np.ndarray], source: str | Path) -> "DebuggerModel":
+        """The model a container holds, from its metadata and tensors.
+
+        Draws no random numbers: every parameter is the file's array itself,
+        in the config's dtype, so a view stays a view and stays writable.
+        """
+        for key in ("config", "vocab"):
+            if key not in meta:
+                raise DataError(f"missing model metadata {key!r} in {source}")
+        config = dataclass_from_meta(ModelConfig, meta["config"], "model config", source)
+        model = cls.__new__(cls)
+        try:
+            model._bind(config, Vocab(meta["vocab"]))
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"bad vocabulary in {source}: {exc}") from None
+        for name, shape, _ in param_spec(config):
             if name not in tensors:
-                raise DataError(f"missing tensor {name!r} in {path}")
-            if tensors[name].shape != p.data.shape:
-                raise DataError(f"shape mismatch for {name!r} in {path}")
-            p.data = tensors[name].astype(config.np_dtype, copy=False)
+                raise DataError(f"missing tensor {name!r} in {source}")
+            if tensors[name].shape != shape:
+                raise DataError(f"shape mismatch for {name!r} in {source}")
+            model.params[name] = Tensor(tensors[name].astype(config.np_dtype, copy=False), requires_grad=True)
         return model
 
 

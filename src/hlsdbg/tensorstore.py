@@ -9,6 +9,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -53,21 +54,55 @@ def save_tensors(path: str | Path, tensors: dict[str, np.ndarray], meta: dict | 
 
 
 def load_tensors(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
+    """(tensors, meta) of a container; every malformed container is a DataError.
+
+    The payload is read once into one buffer and each tensor is a writable
+    view into it, so loading copies nothing.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
+        if fh.read(len(MAGIC)) != MAGIC:
             raise DataError(f"not a tensor container: {path}")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
+        raw_len = fh.read(8)
+        if len(raw_len) != 8:
+            raise DataError(f"truncated container header in {path}")
+        (header_len,) = struct.unpack("<Q", raw_len)
+        raw_header = fh.read(header_len)
+        if len(raw_header) != header_len:
+            raise DataError(f"truncated container header in {path}")
         try:
-            header = json.loads(fh.read(header_len).decode("utf-8"))
+            header = json.loads(raw_header.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataError(f"corrupt container header in {path}: {exc}") from None
-        payload = fh.read()
+        payload = np.fromfile(fh, dtype=np.uint8)
+    if not isinstance(header, dict) or not isinstance(header.get("tensors"), list):
+        raise DataError(f"corrupt container header in {path}: no tensor list")
+    meta = header.get("meta", {})
+    if not isinstance(meta, dict):
+        raise DataError(f"corrupt container header in {path}: meta is not a mapping")
     tensors = {}
     for entry in header["tensors"]:
+        name, dtype, shape, start, nbytes = _checked_entry(entry, path)
+        if start + nbytes > payload.size:
+            raise DataError(f"tensor {name!r} lies past the end of the payload in {path}")
+        tensors[name] = payload[start:start + nbytes].view(dtype).reshape(shape)
+    return tensors, meta
+
+
+def _checked_entry(entry, path) -> tuple[str, str, tuple[int, ...], int, int]:
+    """(name, numpy dtype, shape, offset, nbytes) of a header entry, validated."""
+    try:
+        name, dtype, shape = entry["name"], entry["dtype"], entry["shape"]
         start, nbytes = entry["offset"], entry["nbytes"]
-        if start + nbytes > len(payload):
-            raise DataError(f"truncated container: {path}")
-        arr = np.frombuffer(payload[start:start + nbytes], dtype=_DTYPES[entry["dtype"]])
-        tensors[entry["name"]] = arr.reshape(entry["shape"]).copy()
-    return tensors, header.get("meta", {})
+    except (KeyError, TypeError):
+        raise DataError(f"malformed tensor entry in {path}: {entry!r}") from None
+    if not isinstance(name, str):
+        raise DataError(f"malformed tensor name in {path}: {name!r}")
+    if dtype not in _DTYPES:
+        raise DataError(f"unknown dtype {dtype!r} for tensor {name!r} in {path}")
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in (start, nbytes, *shape)):
+        raise DataError(f"malformed shape, offset or size for tensor {name!r} in {path}")
+    shape = tuple(shape)
+    expected = math.prod(shape) * np.dtype(_DTYPES[dtype]).itemsize
+    if nbytes != expected:
+        raise DataError(f"tensor {name!r} in {path} holds {nbytes} bytes, its shape needs {expected}")
+    return name, _DTYPES[dtype], shape, start, nbytes

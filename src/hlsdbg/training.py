@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward, check_finite
 from .errors import DataError
-from .model import BUG_TYPE_INDEX, DebuggerModel, ModelConfig, Vocab
+from .model import BUG_TYPE_INDEX, DebuggerModel, ModelConfig, Vocab, dataclass_from_meta
 from .mutate import BugRecord
 from .optim import AdamState, adam_step, clip_global_norm
 from .tensorstore import load_tensors, save_tensors
@@ -274,24 +274,23 @@ def save_checkpoint(
 def load_checkpoint(path: str | Path):
     """(model, adam state, rng, next_epoch, step, train config, loss weights)."""
     tensors, meta = load_tensors(path)
-    for key in ("config", "vocab", "train_config", "next_epoch"):
+    for key in ("config", "vocab", "train_config", "loss_weights", "adam_t", "next_epoch", "step", "rng_state"):
         if key not in meta:
             raise DataError(f"checkpoint {path} lacks {key!r}")
-    config = ModelConfig(**meta["config"])
-    model = DebuggerModel(config, Vocab(meta["vocab"]), seed=0)
+    model = DebuggerModel.restore(meta, tensors, path)
     state = AdamState(t=meta["adam_t"])
     for name, p in model.params.items():
-        if name not in tensors:
-            raise DataError(f"checkpoint {path} lacks tensor {name!r}")
-        p.data = tensors[name].astype(config.np_dtype, copy=False)
-        if f"adam.m.{name}" in tensors:
-            state.m[name] = tensors[f"adam.m.{name}"].astype(config.np_dtype, copy=False)
-            state.v[name] = tensors[f"adam.v.{name}"].astype(config.np_dtype, copy=False)
+        moments = [tensors.get(f"adam.{which}.{name}") for which in ("m", "v")]
+        if all(t is None for t in moments):
+            continue
+        if any(t is None or t.shape != p.shape for t in moments):
+            raise DataError(f"checkpoint {path} has bad Adam moments for {name!r}")
+        state.m[name], state.v[name] = (t.astype(p.dtype, copy=False) for t in moments)
     rng = random.Random()
     version, internal, gauss = meta["rng_state"]
     rng.setstate((version, tuple(internal), gauss))
-    cfg = TrainConfig(**meta["train_config"])
-    weights = LossWeights(**meta["loss_weights"])
+    cfg = dataclass_from_meta(TrainConfig, meta["train_config"], "train config", path)
+    weights = dataclass_from_meta(LossWeights, meta["loss_weights"], "loss weights", path)
     return model, state, rng, meta["next_epoch"], meta["step"], cfg, weights
 
 

@@ -236,6 +236,76 @@ class TestTrainEvalDebug:
         assert (tmp_path / "kernel_fixed.c.manifest.json").exists()
 
 
+def _rewrite_header(path, edit):
+    """Rewrite a tensor container with `edit` applied to its parsed header."""
+    import struct
+
+    data = path.read_bytes()
+    (n,) = struct.unpack("<Q", data[7:15])
+    header = json.loads(data[15:15 + n])
+    edit(header)
+    raw = json.dumps(header).encode()
+    path.write_bytes(data[:7] + struct.pack("<Q", len(raw)) + raw + data[15 + n:])
+
+
+def _first_tensor(key, value):
+    def edit(header):
+        header["tensors"][0][key] = value
+
+    return edit
+
+
+def _truncate_header(path):
+    path.write_bytes(path.read_bytes()[:11])
+
+
+def _unknown_dtype(path):
+    _rewrite_header(path, _first_tensor("dtype", "f16"))
+
+
+def _wrong_nbytes(path):
+    _rewrite_header(path, _first_tensor("shape", [3, 5]))
+
+
+def _offset_past_payload(path):
+    _rewrite_header(path, _first_tensor("offset", 1 << 40))
+
+
+def _unknown_config_key(path):
+    _rewrite_header(path, lambda header: header["meta"]["config"].update(n_experts=4))
+
+
+class TestCorruptModelFile:
+    """A malformed model file is a data error: exit 2 and one line on stderr."""
+
+    @pytest.fixture()
+    def model_path(self, tmp_path):
+        from hlsdbg.model import ModelConfig, Vocab
+
+        vocab = Vocab(list(Vocab.SPECIALS) + ["int", "x"])
+        config = ModelConfig(vocab_size=len(vocab), n_layers_enc=1, n_layers_dec=1, d_model=8,
+                             n_heads=2, d_ff=8, max_src_len=16, max_tgt_len=4, dtype="f64")
+        path = tmp_path / "model.bin"
+        DebuggerModel(config, vocab, seed=0).save(path)
+        return path
+
+    @pytest.mark.parametrize("corrupt", [
+        _truncate_header, _unknown_dtype, _wrong_nbytes, _offset_past_payload, _unknown_config_key,
+    ])
+    @pytest.mark.parametrize("command", ["debug", "eval"])
+    def test_exits_two_with_one_line(self, tmp_path, model_path, corrupt, command, capsys):
+        corrupt(model_path)
+        source = tmp_path / "kernel.c"
+        source.write_text("int x = 1;\n")
+        if command == "debug":
+            argv = ["debug", str(source), "--model", str(model_path)]
+        else:
+            argv = ["eval", "--model", str(model_path), "--records", str(tmp_path / "records.jsonl")]
+        assert _run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hlsdbg: data error:") and err.count("\n") == 1
+
+
 class TestGenLlm:
     def test_stub_generation(self, tmp_path):
         out = tmp_path / "llm.jsonl"

@@ -127,6 +127,49 @@ class TestParameters:
         b = DebuggerModel(_tiny_config(vocab), vocab, seed=8)
         assert any(not np.array_equal(a.params[k].data, b.params[k].data) for k in a.params)
 
+    def test_seeded_init_keeps_reference_draw_order(self, vocab):
+        # The draw loop as first written, parameter by parameter: the
+        # name/shape spec must not move a single bit of seeded init.
+        cfg = _tiny_config(vocab, n_layers_enc=2, n_layers_dec=2, dtype="f32")
+        rng = np.random.default_rng(7)
+        d, f, v = cfg.d_model, cfg.d_ff, cfg.vocab_size
+        ref = {}
+
+        def draw(name, shape, std=0.02):
+            ref[name] = np.zeros(shape, np.float32) if std == 0.0 else (rng.normal(size=shape) * std).astype(np.float32)
+
+        for name, shape in (("src_embed", (v, d)), ("pos_enc", (cfg.max_src_len, d)),
+                            ("tgt_embed", (v, d)), ("pos_dec", (cfg.max_tgt_len, d))):
+            draw(name, shape)
+        for i in range(cfg.n_layers_enc):
+            for w in ("wq", "wk", "wv", "wo"):
+                draw(f"enc{i}.{w}", (d, d))
+            draw(f"enc{i}.w1", (d, f))
+            draw(f"enc{i}.b1", (f,), 0.0)
+            draw(f"enc{i}.w2", (f, d))
+            draw(f"enc{i}.b2", (d,), 0.0)
+        for i in range(cfg.n_layers_dec):
+            for w in ("self_wq", "self_wk", "self_wv", "self_wo", "cross_wq", "cross_wk", "cross_wv", "cross_wo"):
+                draw(f"dec{i}.{w}", (d, d))
+            draw(f"dec{i}.w1", (d, f))
+            draw(f"dec{i}.b1", (f,), 0.0)
+            draw(f"dec{i}.w2", (f, d))
+            draw(f"dec{i}.b2", (d,), 0.0)
+        for head, width in (("head_bug", 1), ("head_type", cfg.n_bug_types)):
+            for j in range(cfg.head_mlp_layers - 1):
+                draw(f"{head}.w{j}", (d, d))
+                draw(f"{head}.b{j}", (d,), 0.0)
+            last = cfg.head_mlp_layers - 1
+            draw(f"{head}.w{last}", (d, width))
+            draw(f"{head}.b{last}", (width,), 0.0)
+        draw("out_w", (d, v))
+        draw("out_b", (v,), 0.0)
+
+        m = DebuggerModel(cfg, vocab, seed=7)
+        assert list(m.params) == list(ref)
+        for k, arr in ref.items():
+            assert m.params[k].data.dtype == arr.dtype and m.params[k].data.tobytes() == arr.tobytes(), k
+
     def test_dtype_applied(self, vocab):
         m = DebuggerModel(_tiny_config(vocab, dtype="f32"), vocab, seed=0)
         assert all(p.dtype == np.float32 for p in m.params.values())
@@ -240,6 +283,52 @@ class TestDecoder:
         assert m.generate(enc) == []
 
 
+class TestCachedDecoding:
+    """Incremental greedy decoding against one teacher-forced decoder pass."""
+
+    @pytest.fixture(scope="class")
+    def deep(self, vocab):
+        return DebuggerModel(_tiny_config(vocab, n_layers_dec=2), vocab, seed=13)
+
+    @staticmethod
+    def _teacher_forced(m, enc, ids):
+        prefix = np.array([[Vocab.START] + list(ids)], dtype=np.int64)
+        return m.decoder_logits(enc, prefix, np.ones(prefix.shape)).data[0]
+
+    @pytest.mark.parametrize("max_len", [1, 2, 5, None])
+    def test_ids_are_teacher_forced_argmaxes(self, deep, records, max_len):
+        enc = deep.encode_ids([deep.record_input_ids(records[0], False)[0]])
+        ids = deep.generate(enc, max_len=max_len)
+        assert len(ids) == (max_len or deep.config.max_tgt_len) - 1  # this fixture never emits END
+        tf = self._teacher_forced(deep, enc, ids)
+        assert np.argmax(tf[: len(ids)], axis=-1).tolist() == ids
+
+    def test_step_logits_match_teacher_forcing(self, deep, records):
+        enc = deep.encode_ids([deep.record_input_ids(records[1], True)[0]])
+        ids = deep.generate(enc)
+        cross = deep._cross(enc)
+        cache = [None] * deep.config.n_layers_dec
+        steps = [
+            deep._decode(np.array([[tok]]), pos, cross, None, cache).data[0, -1]
+            for pos, tok in enumerate([Vocab.START] + ids)
+        ]
+        np.testing.assert_allclose(np.array(steps), self._teacher_forced(deep, enc, ids), rtol=0, atol=1e-12)
+
+    def test_early_end(self, vocab, records):
+        m = DebuggerModel(_tiny_config(vocab, n_layers_dec=2), vocab, seed=13)
+        enc = m.encode_ids([m.record_input_ids(records[0], False)[0]])
+        full = m.generate(enc)
+        tf = self._teacher_forced(m, enc, full)
+        margin = tf.max(axis=-1) - tf[:, Vocab.END]  # how far END is from winning each step
+        k = next(k for k in range(1, len(full)) if margin[k] < margin[:k].min())
+        # an END bias between the two margins makes END win first at step k
+        m.params["out_b"].data[Vocab.END] += (margin[:k].min() + margin[k]) / 2
+        ids = m.generate(enc)
+        assert ids == full[:k]
+        tf = self._teacher_forced(m, enc, ids)
+        assert np.argmax(tf, axis=-1).tolist() == ids + [Vocab.END]
+
+
 # --- record-level API -----------------------------------------------------------
 
 
@@ -336,6 +425,45 @@ class TestPersistence:
         b = loaded.predict_record(records[0])
         assert a.token_probs.tobytes() == b.token_probs.tobytes()
         assert a.generated_text == b.generated_text
+
+    def test_loaded_params_are_bit_equal_and_writable(self, model, tmp_path):
+        from hlsdbg.optim import AdamState, adam_step
+
+        path = tmp_path / "model.bin"
+        model.save(path)
+        loaded = DebuggerModel.load(path)
+        assert list(loaded.params) == list(model.params)
+        for k, p in model.params.items():
+            q = loaded.params[k]
+            assert q.dtype == p.dtype and q.data.tobytes() == p.data.tobytes()
+            assert q.data.flags.writeable and q.requires_grad
+        arrays = {k: p.data for k, p in loaded.params.items()}
+        for p in loaded.params.values():
+            p.grad = np.ones_like(p.data)
+        adam_step(loaded.params, AdamState(), lr=1e-3)
+        assert all(loaded.params[k].data is arr for k, arr in arrays.items())  # updated in place
+        assert not np.array_equal(loaded.params["out_w"].data, model.params["out_w"].data)
+
+    def test_load_draws_no_random_numbers(self, model, tmp_path, monkeypatch):
+        path = tmp_path / "model.bin"
+        model.save(path)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("loading a model drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        assert DebuggerModel.load(path).parameter_count == model.parameter_count
+
+    def test_load_rejects_unknown_config_key(self, model, tmp_path):
+        from dataclasses import asdict
+
+        from hlsdbg.tensorstore import save_tensors
+
+        path = tmp_path / "extra.bin"
+        meta = {"config": {**asdict(model.config), "n_experts": 4}, "vocab": model.vocab.id_to_token}
+        save_tensors(path, {k: p.data for k, p in model.params.items()}, meta=meta)
+        with pytest.raises(DataError, match="n_experts"):
+            DebuggerModel.load(path)
 
     def test_load_rejects_missing_metadata(self, tmp_path):
         from hlsdbg.tensorstore import save_tensors

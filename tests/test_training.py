@@ -326,6 +326,25 @@ class TestTrain:
         assert weights == LossWeights()
         for k in model.params:
             assert np.array_equal(loaded.params[k].data, model.params[k].data)
+            assert loaded.params[k].data.flags.writeable  # Adam updates in place on resume
+        assert state.m.keys() == model.params.keys()
+        assert all(m.flags.writeable and v.flags.writeable for m, v in zip(state.m.values(), state.v.values()))
+
+    @pytest.mark.parametrize("edit", [
+        *(lambda meta, key=key: meta.pop(key) for key in ("adam_t", "rng_state", "loss_weights", "step")),
+        lambda meta: meta["config"].update(n_experts=4),
+        lambda meta: meta["train_config"].update(warmup=3),
+    ], ids=["no-adam_t", "no-rng_state", "no-loss_weights", "no-step", "config-key", "train-config-key"])
+    def test_malformed_checkpoint_metadata_rejected(self, vocab, records, tmp_path, edit):
+        from hlsdbg.tensorstore import load_tensors, save_tensors
+
+        cfg = TrainConfig(epochs=1, batch_size=4, lr=1e-3, seed=3, checkpoint_every=1)
+        ckpt = train(_tiny_model(vocab, seed=9), records[:4], cfg, out_dir=tmp_path).checkpoints[0]
+        tensors, meta = load_tensors(ckpt)
+        edit(meta)
+        save_tensors(ckpt, tensors, meta=meta)
+        with pytest.raises(DataError):
+            load_checkpoint(ckpt)
 
 
 # --- learning-rate schedule --------------------------------------------------------
