@@ -17,14 +17,13 @@ def main() -> int:
     ap.add_argument("--kernels", type=int, default=64)
     ap.add_argument("--per-sample", type=int, default=4)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--held-out-ratio", type=float, default=0.0)
     ap.add_argument("--out-dir", type=Path, required=True)
     args = ap.parse_args()
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     samples = make_corpus(args.kernels, seed=args.seed)
-    report = generate_corpus(samples, per_sample=args.per_sample, seed=args.seed, threads=args.threads)
+    report = generate_corpus(samples, per_sample=args.per_sample, seed=args.seed)
     print(f"{len(report.records)} records from {len(samples)} kernels "
           f"({len(report.skipped)} skipped)")
 

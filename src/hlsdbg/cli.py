@@ -109,7 +109,7 @@ def _cmd_ingest(args, argv) -> int:
 
 def _cmd_inject(args, argv) -> int:
     pairs = _load_sample_pairs(args)
-    report = generate_corpus(pairs, per_sample=args.per_sample, seed=args.seed, threads=args.threads)
+    report = generate_corpus(pairs, per_sample=args.per_sample, seed=args.seed)
     write_jsonl(report.records, args.out)
     _write_manifest(
         args.out,
@@ -130,7 +130,7 @@ def _cmd_inject(args, argv) -> int:
 def _cmd_dedup(args, argv) -> int:
     samples = read_samples_jsonl(args.samples)
     benchmark = [s.code for s in read_samples_jsonl(args.benchmark)]
-    kept, report = dedup(samples, benchmark, threshold=args.threshold, threads=args.threads)
+    kept, report = dedup(samples, benchmark, threshold=args.threshold)
     write_samples_jsonl(kept, args.out)
     _write_manifest(
         args.out,
@@ -231,6 +231,8 @@ def _cmd_debug(args, argv) -> int:
     code = Path(args.source).read_text()
     pred = model.predict_source(code)
     probs = pred.token_probs
+    if probs.shape[0] == 0:
+        raise DataError(f"{args.source}: no tokens to score")
 
     per_line = line_scores(probs, pred.stream)
     ranked = sorted(per_line.items(), key=lambda kv: (-kv[1], kv[0]))[: args.top]
@@ -324,7 +326,6 @@ def build_parser() -> _Parser:
     src.add_argument("--synth", type=int, metavar="N", help="use N built-in synthetic kernels")
     p.add_argument("--per-sample", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_inject)
 
@@ -332,7 +333,6 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", required=True)
     p.add_argument("--benchmark", required=True, help="samples jsonl to compare against")
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_dedup)
 

@@ -115,21 +115,28 @@ def _split_file(text: str, markers: tuple[str, str] | None) -> list[str]:
 
 
 def rouge_l(candidate: str, reference: str) -> float:
-    """LCS F-measure over whitespace tokens, in [0, 1]."""
+    """LCS F-measure over whitespace tokens, in [0, 1].
+
+    The LCS length comes from the bit-vector recurrence of Allison & Dix
+    (1986) in Hyyrö's form (2004): `s` is a Python int with one bit per
+    reference word, and after the last candidate word the LCS length is the
+    number of its zero bits.
+    """
     a = candidate.split()
     b = reference.split()
     if not a or not b:
         return 0.0
-    prev = [0] * (len(b) + 1)
+    match: dict[str, int] = {}
+    for j, y in enumerate(b):
+        match[y] = match.get(y, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    s = full
     for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                cur.append(prev[j - 1] + 1)
-            else:
-                cur.append(max(prev[j], cur[j - 1]))
-        prev = cur
-    lcs = prev[-1]
+        m = match.get(x)
+        if m is not None:
+            u = s & m
+            s = ((s + u) | (s - u)) & full
+    lcs = len(b) - s.bit_count()
     p = lcs / len(a)
     r = lcs / len(b)
     if p + r == 0:
@@ -155,7 +162,6 @@ def dedup(
     samples: Sequence[SampleRecord],
     benchmark: Sequence[str],
     threshold: float = 0.5,
-    threads: int = 1,
 ) -> tuple[list[SampleRecord], DedupReport]:
     """Drop samples whose best Rouge-L against `benchmark` exceeds `threshold`.
 
@@ -165,23 +171,12 @@ def dedup(
     if not benchmark:
         return list(samples), report
 
-    def best(sample: SampleRecord) -> tuple[float, int]:
+    kept = []
+    for sample in samples:
         scores = [rouge_l(sample.code, ref) for ref in benchmark]
         idx = max(range(len(scores)), key=scores.__getitem__)
-        return scores[idx], idx
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(best, samples))
-    else:
-        results = [best(s) for s in samples]
-
-    kept = []
-    for sample, (score, idx) in zip(samples, results):
-        if score > threshold:
-            report.removed.append(DedupHit(sample.id, score, idx))
+        if scores[idx] > threshold:
+            report.removed.append(DedupHit(sample.id, scores[idx], idx))
         else:
             kept.append(sample)
     return kept, report

@@ -6,12 +6,19 @@ ASCII sources this project works with, string offsets coincide with byte
 offsets. The lexer is deliberately permissive: unknown characters become
 single-char punctuation tokens instead of errors, because crawled HLS code is
 noisy. Comments and pragmas are real tokens so they stay labelable.
+
+The scan works per token, not per character: a token's first character picks
+its kind, and one compiled-regex match consumes the rest of it (identifier
+and number continuations, multi-char operators, literals) or the whitespace
+run before the next token.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import LexError
 
@@ -47,9 +54,20 @@ _MULTI_OPS = (
 _OP_CHARS = frozenset("+-*/%<>=!&|^~?")
 _WS = frozenset(" \t\r\f\v")
 
+# Token continuations. A token's first character is tested with str methods
+# (`isalpha`, `isdigit`), which differ from `\d` and `[^\W\d]` on characters
+# such as "²" and "½"; after it, `\w` equals `isalnum() or "_"` exactly.
+_GAP = re.compile(r"[ \t\r\f\v\n]*")
+_IDENT_REST = re.compile(r"\w*")
+_NUMBER_REST = re.compile(r"(?:[\w.]|(?<=[eEpP])[+-])*")
+_MULTI_OP = re.compile("|".join(map(re.escape, _MULTI_OPS)))
+# A backslash escapes any next character, newline included; an unescaped
+# newline or the end of the source leaves the literal unterminated.
+_STRING = re.compile(r'"[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*"')
+_CHAR = re.compile(r"'[^'\\\n]*(?:\\[\s\S][^'\\\n]*)*'")
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     byte_start: int
@@ -59,6 +77,11 @@ class Token:
 
     def intersects(self, lo: int, hi: int) -> bool:
         return self.byte_start < hi and self.byte_end > lo
+
+
+# Builds a Token from a field tuple, skipping the Python-level `Token.__new__`
+# frame (about 0.3 µs of a token's ~2 µs).
+_token = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -94,124 +117,89 @@ def lex(source: str) -> TokenStream:
     strings, char literals and block comments.
     """
     tokens: list[Token] = []
+    append = tokens.append
+    gap, ident_rest, number_rest, multi_op = _GAP.match, _IDENT_REST.match, _NUMBER_REST.match, _MULTI_OP.match
+    K = TokenKind
+    keyword, identifier, number, operator, punct = K.KEYWORD, K.IDENTIFIER, K.NUMBER, K.OPERATOR, K.PUNCT
     n = len(source)
-    i = 0
+    pos = 0
     line = 1
     line_start = 0
     # True until a non-whitespace char is seen on the current line.
     at_line_head = True
 
-    def col_of(pos: int) -> int:
-        return pos - line_start + 1
-
-    def trim_back(end: int, start: int) -> int:
-        while end > start and source[end - 1] in _WS:
-            end -= 1
-        return end
-
-    while i < n:
+    while True:
+        i = gap(source, pos).end()
+        if i != pos:
+            nl = source.rfind("\n", pos, i)
+            if nl != -1:
+                line += source.count("\n", pos, i)
+                line_start = nl + 1
+                at_line_head = True
+        if i == n:
+            break
         c = source[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            line_start = i
-            at_line_head = True
-            continue
-        if c in _WS:
-            i += 1
-            continue
-
-        start = i
-        start_line, start_col = line, col_of(i)
+        col = i - line_start + 1
 
         if c == "#" and at_line_head and source.startswith("#pragma", i):
-            end = source.find("\n", i)
-            end = n if end == -1 else end
-            end = trim_back(end, start)
-            tokens.append(Token(TokenKind.PRAGMA, source[start:end], start, end, start_line, start_col))
-            i = end
+            end = _trimmed_line_end(source, i)
+            append(_token(Token, (K.PRAGMA, source[i:end], i, end, line, col)))
+            pos = end
             at_line_head = False
             continue
         at_line_head = False
 
-        if c == "/" and source.startswith("//", i):
-            end = source.find("\n", i)
-            end = n if end == -1 else end
-            end = trim_back(end, start)
-            tokens.append(Token(TokenKind.COMMENT, source[start:end], start, end, start_line, start_col))
-            i = end
-            continue
-        if c == "/" and source.startswith("/*", i):
-            close = source.find("*/", i + 2)
-            if close == -1:
-                raise LexError("unterminated block comment", start_line, start_col)
-            end = close + 2
-            tokens.append(Token(TokenKind.COMMENT, source[start:end], start, end, start_line, start_col))
-            line += source.count("\n", start, end)
-            nl = source.rfind("\n", start, end)
-            if nl != -1:
-                line_start = nl + 1
-            i = end
-            continue
-
-        if c in "\"'":
-            kind = TokenKind.STRING_LIT if c == '"' else TokenKind.CHAR_LIT
-            what = "string literal" if c == '"' else "char literal"
-            j = i + 1
-            while j < n:
-                if source[j] == "\\" and j + 1 < n:
-                    j += 2
-                    continue
-                if source[j] == c:
-                    break
-                if source[j] == "\n":
-                    raise LexError(f"unterminated {what}", start_line, start_col)
-                j += 1
-            else:
-                raise LexError(f"unterminated {what}", start_line, start_col)
-            end = j + 1
-            tokens.append(Token(kind, source[start:end], start, end, start_line, start_col))
-            i = end
-            continue
-
-        if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
+        if c.isalpha() or c == "_":
+            end = ident_rest(source, i + 1).end()
+            text = source[i:end]
+            append(_token(Token, (keyword if text in KEYWORDS else identifier, text, i, end, line, col)))
+        elif c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
             # C preprocessing-number rule: covers decimal/hex/float forms and
             # literal suffixes as a single token.
-            j = i + 1
-            while j < n:
-                ch = source[j]
-                if ch.isalnum() or ch in "._":
-                    j += 1
-                elif ch in "+-" and source[j - 1] in "eEpP":
-                    j += 1
-                else:
-                    break
-            tokens.append(Token(TokenKind.NUMBER, source[start:j], start, j, start_line, start_col))
-            i = j
-            continue
-
-        if c.isalpha() or c == "_":
-            j = i + 1
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[start:j]
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENTIFIER
-            tokens.append(Token(kind, text, start, j, start_line, start_col))
-            i = j
-            continue
-
-        for op in _MULTI_OPS:
-            if source.startswith(op, i):
-                end = i + len(op)
-                tokens.append(Token(TokenKind.OPERATOR, op, start, end, start_line, start_col))
-                i = end
-                break
+            end = number_rest(source, i + 1).end()
+            append(_token(Token, (number, source[i:end], i, end, line, col)))
+        elif c == "/" and source.startswith("//", i):
+            end = _trimmed_line_end(source, i)
+            append(_token(Token, (K.COMMENT, source[i:end], i, end, line, col)))
+        elif c == "/" and source.startswith("/*", i):
+            close = source.find("*/", i + 2)
+            if close == -1:
+                raise LexError("unterminated block comment", line, col)
+            end = close + 2
+            append(_token(Token, (K.COMMENT, source[i:end], i, end, line, col)))
+            nl = source.rfind("\n", i, end)
+            if nl != -1:
+                line += source.count("\n", i, end)
+                line_start = nl + 1
+        elif c == '"' or c == "'":
+            m = (_STRING if c == '"' else _CHAR).match(source, i)
+            if m is None:
+                what = "string literal" if c == '"' else "char literal"
+                raise LexError(f"unterminated {what}", line, col)
+            end = m.end()
+            kind = K.STRING_LIT if c == '"' else K.CHAR_LIT
+            append(_token(Token, (kind, source[i:end], i, end, line, col)))
         else:
-            kind = TokenKind.OPERATOR if c in _OP_CHARS else TokenKind.PUNCT
-            tokens.append(Token(kind, c, start, i + 1, start_line, start_col))
-            i += 1
+            m = multi_op(source, i)
+            if m is not None:
+                end = m.end()
+                append(_token(Token, (operator, m.group(), i, end, line, col)))
+            else:
+                end = i + 1
+                append(_token(Token, (operator if c in _OP_CHARS else punct, c, i, end, line, col)))
+        pos = end
 
     return TokenStream(source=source, tokens=tuple(tokens))
+
+
+def _trimmed_line_end(source: str, start: int) -> int:
+    """End of the line holding `start`, before any trailing blanks."""
+    end = source.find("\n", start)
+    if end == -1:
+        end = len(source)
+    while end > start and source[end - 1] in _WS:
+        end -= 1
+    return end
 
 
 def tokens_in_byte_range(stream: TokenStream, byte_range: tuple[int, int]) -> tuple[int, int]:

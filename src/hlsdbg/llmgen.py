@@ -21,7 +21,7 @@ import requests
 
 from .errors import DataError
 from .lexer import lex, lines_of_tokens, tokens_in_byte_range
-from .mutate import BugRecord, BugType, find_sites, inject, verify_record
+from .mutate import BugRecord, BugType, _verify_lexed, find_sites, inject
 
 _CODE_OPEN = "<<<CODE"
 _CODE_CLOSE = "CODE>>>"
@@ -234,7 +234,7 @@ def build_record(
         token_labels=[1 if lo <= i < hi else 0 for i in range(stream.n_tokens)],
         line_labels=lines_of_tokens(stream, range(lo, hi)),
     )
-    return record if verify_record(record) else None
+    return record if _verify_lexed(record, stream) else None
 
 
 def generate_via_llm(

@@ -626,7 +626,7 @@ def inject(stream: TokenStream, site: MutationSite, seed: int) -> BugRecord:
         token_labels=labels,
         line_labels=lines_of_tokens(buggy_stream, [i for i in range(s, e)]),
     )
-    if not verify_record(record):
+    if not _verify_lexed(record, buggy_stream):
         raise ValueError(f"injection produced an inconsistent record at site {site}")
     return record
 
@@ -649,6 +649,15 @@ def _index_expr_span(tokens: Sequence[Token], idx: int) -> tuple[int, int] | Non
 
 def verify_record(record: BugRecord) -> bool:
     """Re-check every BugRecord invariant from the raw fields."""
+    try:
+        stream = lex(record.buggy_code)
+    except Exception:
+        return False
+    return _verify_lexed(record, stream)
+
+
+def _verify_lexed(record: BugRecord, stream: TokenStream) -> bool:
+    """Every BugRecord invariant, given `stream = lex(record.buggy_code)`."""
     s, e = record.buggy_byte_span
     if not (0 <= s <= e <= len(record.buggy_code)):
         return False
@@ -658,10 +667,6 @@ def verify_record(record: BugRecord) -> bool:
         return False
     spliced = record.buggy_code[:s] + record.snippet_correct + record.buggy_code[e:]
     if spliced != record.correct_code:
-        return False
-    try:
-        stream = lex(record.buggy_code)
-    except Exception:
         return False
     if len(record.token_labels) != stream.n_tokens:
         return False
@@ -728,32 +733,19 @@ def generate_corpus(
     samples: Iterable[tuple[str, str]],
     per_sample: int,
     seed: int,
-    threads: int = 1,
 ) -> GenerationReport:
     """Inject bugs across a corpus of (id, correct_code) samples.
 
     Records are drawn round-robin over bug types that have sites, then over
     sites, with all ties broken by a PRNG derived from (seed, sample index).
-    Deterministic for fixed inputs and seed regardless of thread count.
+    Deterministic for fixed inputs and seed.
     """
     if per_sample < 1:
         raise ValueError("per_sample must be >= 1")
-    samples = list(samples)
-    jobs = [
-        (sid, code, per_sample, _derive_seed(seed, idx))
-        for idx, (sid, code) in enumerate(samples)
-    ]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda j: generate_for_sample(*j), jobs))
-    else:
-        results = [generate_for_sample(*j) for j in jobs]
-
     records: list[BugRecord] = []
     skipped: list[str] = []
-    for (sid, _), recs in zip(samples, results):
+    for idx, (sid, code) in enumerate(samples):
+        recs = generate_for_sample(sid, code, per_sample, _derive_seed(seed, idx))
         if recs is None:
             skipped.append(sid)
         else:

@@ -73,7 +73,7 @@ def _vocab_for(records):
 
 def test_criterion_1_injector_round_trip():
     t0 = time.time()
-    report = generate_corpus(make_corpus(72, seed=301), per_sample=16, seed=307, threads=1)
+    report = generate_corpus(make_corpus(72, seed=301), per_sample=16, seed=307)
     records = report.records
     n_bad = 0
     for record in records:

@@ -1,6 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hlsdbg.cli as cli
 from hlsdbg.corpus import read_jsonl, read_samples_jsonl
@@ -77,6 +81,15 @@ class TestExitCodes:
         code = _run(["train", "--records", "x", "--out-dir", str(tmp_path)])
         assert code == 3
 
+    @pytest.mark.parametrize("command", [
+        ["inject", "--synth", "2"],
+        ["dedup", "--samples", "s.jsonl", "--benchmark", "b.jsonl"],
+    ])
+    def test_threads_flag_of_corpus_stages_is_usage_error(self, tmp_path, command):
+        with pytest.raises(SystemExit) as exc:
+            _run(command + ["--threads", "4", "--out", str(tmp_path / "o.jsonl")])
+        assert exc.value.code == 1
+
     def test_version_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             _run(["--version"])
@@ -106,12 +119,6 @@ class TestInject:
         assert _run(argv) == 0
         assert out.read_bytes() == first
         assert (tmp_path / "r.jsonl.manifest.json").read_bytes() == first_manifest
-
-    def test_threads_do_not_change_output(self, tmp_path):
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        assert _run(["inject", "--synth", "2", "--seed", "4", "--out", str(a)]) == 0
-        assert _run(["inject", "--synth", "2", "--seed", "4", "--threads", "4", "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
 
     def test_from_samples_file(self, tmp_path):
         src_dir = tmp_path / "src"
@@ -275,19 +282,41 @@ def _unknown_config_key(path):
     _rewrite_header(path, lambda header: header["meta"]["config"].update(n_experts=4))
 
 
+@pytest.fixture()
+def model_path(tmp_path):
+    """A tiny untrained model file."""
+    from hlsdbg.model import ModelConfig, Vocab
+
+    vocab = Vocab(list(Vocab.SPECIALS) + ["int", "x"])
+    config = ModelConfig(vocab_size=len(vocab), n_layers_enc=1, n_layers_dec=1, d_model=8,
+                         n_heads=2, d_ff=8, max_src_len=16, max_tgt_len=4, dtype="f64")
+    path = tmp_path / "model.bin"
+    DebuggerModel(config, vocab, seed=0).save(path)
+    return path
+
+
+class TestDebugNoTokens:
+    """A source with no tokens has nothing to score: exit 2, one stderr line, no output."""
+
+    @pytest.mark.parametrize("text", ["", " \n\t\r\n  \n"], ids=["empty", "whitespace"])
+    @pytest.mark.parametrize("with_out", [False, True], ids=["report", "out"])
+    def test_exits_two_with_one_line(self, tmp_path, model_path, text, with_out, capsys):
+        source = tmp_path / "kernel.c"
+        source.write_text(text)
+        fixed = tmp_path / "fixed.c"
+        argv = ["debug", str(source), "--model", str(model_path)]
+        if with_out:
+            argv += ["--out", str(fixed)]
+        assert _run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("hlsdbg: data error:") and captured.err.count("\n") == 1
+        assert "no tokens to score" in captured.err
+        assert not fixed.exists()
+
+
 class TestCorruptModelFile:
     """A malformed model file is a data error: exit 2 and one line on stderr."""
-
-    @pytest.fixture()
-    def model_path(self, tmp_path):
-        from hlsdbg.model import ModelConfig, Vocab
-
-        vocab = Vocab(list(Vocab.SPECIALS) + ["int", "x"])
-        config = ModelConfig(vocab_size=len(vocab), n_layers_enc=1, n_layers_dec=1, d_model=8,
-                             n_heads=2, d_ff=8, max_src_len=16, max_tgt_len=4, dtype="f64")
-        path = tmp_path / "model.bin"
-        DebuggerModel(config, vocab, seed=0).save(path)
-        return path
 
     @pytest.mark.parametrize("corrupt", [
         _truncate_header, _unknown_dtype, _wrong_nbytes, _offset_past_payload, _unknown_config_key,
@@ -316,8 +345,50 @@ class TestGenLlm:
         manifest = json.loads((tmp_path / "llm.jsonl.manifest.json").read_text())
         assert manifest["counts"]["completion_calls"] >= 6
 
+    def test_threads_flag_keeps_output(self, tmp_path):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        assert _run(["gen-llm", "--synth", "3", "--seed", "7", "--out", str(a)]) == 0
+        assert _run(["gen-llm", "--synth", "3", "--seed", "7", "--threads", "2", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_stub_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         assert _run(["gen-llm", "--synth", "2", "--seed", "7", "--out", str(a)]) == 0
         assert _run(["gen-llm", "--synth", "2", "--seed", "7", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+# Arbitrary sample text: C-ish fragments, unterminated literals and comments,
+# pragmas and any Unicode character, including lone surrogates.
+_SAMPLE_PIECES = [
+    "int", "x", "acc", "0", "8", "1e", "-", "+", "<<", "<", "=", "==", ";", ",", "(", ")",
+    "{", "}", "[", "]", "for", "while", "if", "unsigned", "long long", "return",
+    "#pragma HLS unroll", "//", "/*", "*/", '"', "'", "\\", " ", "\n", "\t",
+]
+fuzz_text = st.lists(
+    st.one_of(st.sampled_from(_SAMPLE_PIECES), st.characters()), max_size=80
+).map("".join)
+# a synthetic kernel with fuzz text spliced in at some offset keeps injection
+# sites around the damage
+_KERNEL = make_corpus(1, seed=41)[0][1]
+spliced_kernel = st.tuples(st.integers(0, len(_KERNEL)), st.integers(0, 40), fuzz_text).map(
+    lambda t: _KERNEL[:t[0]] + t[2] + _KERNEL[t[0] + t[1]:]
+)
+
+
+@given(st.lists(st.one_of(fuzz_text, spliced_kernel), min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_corpus_commands_exit_zero_or_two_on_any_sample_text(codes):
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        samples = d / "samples.jsonl"
+        samples.write_text("".join(
+            json.dumps({"id": f"s{i}", "code": code, "origin": "crawled"}) + "\n" for i, code in enumerate(codes)
+        ))
+        runs = [
+            ["inject", "--samples", samples, "--per-sample", "4", "--out", d / "inject.jsonl"],
+            ["gen-llm", "--samples", samples, "--out", d / "llm.jsonl"],
+            ["dedup", "--samples", samples, "--benchmark", samples, "--out", d / "kept.jsonl"],
+        ]
+        for argv in runs:
+            assert _run([str(a) for a in argv]) in (0, 2), argv[0]

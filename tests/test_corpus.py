@@ -1,5 +1,6 @@
 import functools
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -93,6 +94,24 @@ class TestIngest:
 
 # --- rouge ---------------------------------------------------------------------
 
+TOY_CORPUS = Path(__file__).resolve().parents[1] / "data" / "toy_corpus"
+
+
+def _dp_rouge_l(candidate: str, reference: str) -> float:
+    """Rouge-L F-measure from the O(n*m) LCS table, the reference for `rouge_l`."""
+    a, b = candidate.split(), reference.split()
+    if not a or not b:
+        return 0.0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b, start=1):
+            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
+        prev = cur
+    lcs = prev[-1]
+    p, r = lcs / len(a), lcs / len(b)
+    return 0.0 if p + r == 0 else 2 * p * r / (p + r)
+
 
 class TestRougeL:
     def test_identical(self):
@@ -136,6 +155,26 @@ class TestRougeL:
         want = 0.0 if p + r == 0 else 2 * p * r / (p + r)
         assert got == pytest.approx(want)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # a vocabulary of 1-6 words forces heavy repetition; up to 150 words
+        # spans several 64-bit limbs of the bit vector
+        st.integers(1, 6).flatmap(
+            lambda k: st.tuples(*[st.lists(st.sampled_from(["a", "b", "int", "x_1", "=", ";"][:k]), max_size=150)] * 2)
+        )
+    )
+    def test_bit_parallel_equals_dp_oracle(self, pair):
+        cand, ref = (" ".join(words) for words in pair)
+        assert rouge_l(cand, ref) == _dp_rouge_l(cand, ref)
+
+    def test_bit_parallel_equals_dp_oracle_on_kernels(self):
+        texts = [p.read_text() for p in sorted(TOY_CORPUS.glob("*.c"))]
+        texts += [code for _, code in make_corpus(12, seed=23)]
+        assert max(len(t.split()) for t in texts) > 64
+        for a in texts:
+            for b in texts[::3]:
+                assert rouge_l(a, b) == _dp_rouge_l(a, b)
+
     @settings(max_examples=80, deadline=None)
     @given(
         st.lists(st.sampled_from("abcxyz"), min_size=1, max_size=8),
@@ -176,6 +215,22 @@ class TestDedup:
         assert kept == samples
         assert report.removed == []
 
+    def test_decisions_match_dp_oracle(self):
+        toy = [_sample(p.name, p.read_text()) for p in sorted(TOY_CORPUS.glob("*.c"))]
+        synth = [_sample(sid, code) for sid, code in make_corpus(10, seed=31)]
+        samples = toy + synth
+        bench = [code for _, code in make_corpus(3, seed=32)] + [toy[0].code, toy[5].code]
+        kept, report = dedup(samples, bench, threshold=0.5)
+        want_removed = []
+        for sample in samples:
+            scores = [_dp_rouge_l(sample.code, ref) for ref in bench]
+            best = max(scores)
+            if best > 0.5:
+                want_removed.append((sample.id, best, scores.index(best)))
+        assert [(h.sample_id, h.score, h.benchmark_index) for h in report.removed] == want_removed
+        assert [s.id for s in kept] == [s.id for s in samples if s.id not in {h[0] for h in want_removed}]
+        assert 0 < len(kept) < len(samples)
+
     def test_best_benchmark_index_reported(self):
         kept, report = dedup(
             [_sample("s", "int a = 1; int b = 2;")],
@@ -183,14 +238,6 @@ class TestDedup:
         )
         assert kept == []
         assert report.removed[0].benchmark_index == 1
-
-    def test_threads_do_not_change_result(self):
-        samples = [_sample(f"s{i}", code) for i, (_, code) in enumerate(make_corpus(8, seed=4))]
-        bench = [code for _, code in make_corpus(3, seed=4)]
-        kept1, rep1 = dedup(samples, bench, threads=1)
-        kept4, rep4 = dedup(samples, bench, threads=4)
-        assert kept1 == kept4
-        assert rep1.removed == rep4.removed
 
 
 # --- jsonl ----------------------------------------------------------------------

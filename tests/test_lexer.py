@@ -1,9 +1,15 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lexer_oracle import oracle_lex
 
 from hlsdbg.errors import LexError
 from hlsdbg.lexer import TokenKind, lex, lines_of_tokens, tokens_in_byte_range
+from hlsdbg.synth import make_corpus
+
+TOY_CORPUS = Path(__file__).resolve().parents[1] / "data" / "toy_corpus"
 
 KERNEL = """\
 #pragma HLS pipeline II=1
@@ -194,3 +200,46 @@ def test_byte_range_matches_linear_scan(src, a, b):
     else:
         assert hits == list(range(hits[0], hits[-1] + 1)), "intersecting tokens must be contiguous"
         assert got == (hits[0], hits[-1] + 1)
+
+
+# Equivalence with the character-by-character reference lexer ---------------
+
+
+def _outcome(lex_fn, src):
+    """Token tuples, or the LexError's (message, line, col)."""
+    try:
+        return [(t.kind, t.text, t.byte_start, t.byte_end, t.line, t.col) for t in lex_fn(src).tokens]
+    except LexError as exc:
+        return ("LexError", str(exc), exc.line, exc.col)
+
+
+# C-ish fragments plus characters on which `str.isdigit`/`isalpha` and the
+# regex classes `\d`/`\w` disagree ("²" is a digit but not decimal, "½" is
+# numeric but not a digit), a non-ASCII letter, NUL, and every construct
+# that switches the lexer into a multi-character mode.
+_C_PIECES = [
+    "int", "x_1", "acc", "0x1F", "1e", "+", "-", "3.5f", ".5", "p", "E", "42u", "..",
+    "<<=", ">>", "->*", "::", "...", "++", "&&", "|", "=", "!", "?", "~", "^", "%",
+    ";", ",", "(", ")", "{", "}", "[", "]", "@", "$", "#", "#pragma", "#pragma HLS unroll",
+    "/*", "*/", "//", "/", "*", '"', "'", "\\", "\\\n", '"a\\\nb"', "'\\''",
+    " ", "  ", "\t", "\r", "\f", "\v", "\n", "\n\n",
+    "²", "½", "é", "\x00", "x²", "1½", "_é",
+]
+c_ish_text = st.lists(
+    st.one_of(st.sampled_from(_C_PIECES), st.characters()),
+    max_size=60,
+).map("".join)
+
+
+@given(c_ish_text)
+@settings(max_examples=500, deadline=None)
+def test_lex_matches_reference_lexer(src):
+    assert _outcome(lex, src) == _outcome(oracle_lex, src)
+
+
+def test_lex_matches_reference_lexer_on_kernels():
+    sources = [p.read_text() for p in sorted(TOY_CORPUS.glob("*.c"))]
+    assert sources, "toy corpus not found"
+    sources += [code for _, code in make_corpus(200, seed=17)]
+    for src in sources:
+        assert _outcome(lex, src) == _outcome(oracle_lex, src)

@@ -307,12 +307,6 @@ class TestGenerateCorpus:
         assert a.histogram == b.histogram
         assert a.skipped == b.skipped
 
-    def test_thread_count_does_not_change_output(self):
-        samples = make_corpus(6, seed=11)
-        a = generate_corpus(samples, per_sample=4, seed=99, threads=1)
-        b = generate_corpus(samples, per_sample=4, seed=99, threads=4)
-        assert a.records == b.records
-
     def test_seed_changes_output(self):
         samples = make_corpus(6, seed=11)
         a = generate_corpus(samples, per_sample=4, seed=1)
