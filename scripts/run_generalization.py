@@ -48,9 +48,7 @@ def main() -> int:
     train_recs, held_recs = build_split(args.train_records, args.held_out, args.seed)
     print(f"{len(train_recs)} train records, {len(held_recs)} held-out records")
 
-    seqs = [lex(r.buggy_code).texts() for r in train_recs]
-    seqs += [lex(r.correct_code).texts() for r in train_recs]
-    vocab = Vocab.build(seqs)
+    vocab = Vocab.for_records(train_recs)
     config = ModelConfig(
         vocab_size=len(vocab), n_layers_enc=2, n_layers_dec=2, d_model=128,
         n_heads=4, d_ff=256, max_src_len=200, max_tgt_len=24, dtype="f64",

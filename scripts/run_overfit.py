@@ -10,7 +10,6 @@ import math
 import time
 from pathlib import Path
 
-from hlsdbg.lexer import lex
 from hlsdbg.metrics import evaluate
 from hlsdbg.model import DebuggerModel, ModelConfig, Vocab
 from hlsdbg.mutate import generate_corpus
@@ -49,9 +48,7 @@ def main() -> int:
     args = ap.parse_args()
 
     records = build_records(args.records, args.seed, args.corpus)
-    seqs = [lex(r.buggy_code).texts() for r in records]
-    seqs += [lex(r.correct_code).texts() for r in records]
-    vocab = Vocab.build(seqs)
+    vocab = Vocab.for_records(records)
     config = ModelConfig(
         vocab_size=len(vocab), n_layers_enc=4, n_layers_dec=4, d_model=256,
         n_heads=4, d_ff=256, max_src_len=200, max_tgt_len=24, dtype="f64",

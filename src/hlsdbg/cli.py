@@ -36,7 +36,7 @@ from .corpus import (
 from .errors import DataError, NumericError
 from .llmgen import HttpCompletionClient, StubCompletionClient, generate_via_llm
 from .metrics import evaluate, write_metrics_csv
-from .model import BUG_TYPE_ORDER, DebuggerModel, ModelConfig, Vocab, line_scores
+from .model import BUG_TYPE_ORDER, DebuggerModel, ModelConfig, Vocab, dataclass_from_meta, line_scores
 from .mutate import generate_corpus
 from .synth import make_corpus
 from .training import LossWeights, TrainConfig, parse_config_text, resume, train
@@ -77,6 +77,13 @@ def _write_manifest(
         notes=notes or [],
     )
     _manifest_path(out).write_text(manifest.to_json())
+
+
+def _read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: invalid UTF-8 ({exc.reason})") from None
 
 
 def _load_sample_pairs(args) -> list[tuple[str, str]]:
@@ -150,13 +157,14 @@ def _cmd_dedup(args, argv) -> int:
 def _train_setup(args):
     train_kw, model_kw, loss_kw = {}, {}, {}
     if args.config:
-        train_kw, model_kw, loss_kw = parse_config_text(Path(args.config).read_text())
+        train_kw, model_kw, loss_kw = parse_config_text(_read_text(args.config))
     for key in ("epochs", "batch_size", "lr", "seed", "checkpoint_every", "given_location_fraction"):
         value = getattr(args, key)
         if value is not None:
             train_kw[key] = value
-    cfg = TrainConfig(**train_kw)
-    weights = LossWeights(**loss_kw)
+    source = f"{args.config} and flags" if args.config else "flags"
+    cfg = dataclass_from_meta(TrainConfig, train_kw, "train config", source)
+    weights = dataclass_from_meta(LossWeights, loss_kw, "loss weights", source)
     return cfg, weights, model_kw
 
 
@@ -201,18 +209,16 @@ def _cmd_train(args, argv) -> int:
 
 
 def _fresh_model(records, model_kw: dict, model_seed: int) -> DebuggerModel:
-    from .lexer import lex
-
-    seqs = [lex(r.buggy_code).texts() for r in records]
-    seqs += [lex(r.correct_code).texts() for r in records]
-    vocab = Vocab.build(seqs)
-    config = ModelConfig(vocab_size=len(vocab), **model_kw)
+    vocab = Vocab.for_records(records)
+    config = dataclass_from_meta(ModelConfig, {**model_kw, "vocab_size": len(vocab)}, "model config", "--config")
     return DebuggerModel(config, vocab, seed=model_seed)
 
 
 def _cmd_eval(args, argv) -> int:
     model = DebuggerModel.load(args.model)
     records = read_jsonl(args.records)
+    if not records:
+        raise DataError(f"no records in {args.records}")
     report = evaluate(model, records, given_location=args.given_location, threshold=args.threshold)
     sys.stdout.write(report.text_summary())
     if args.out_csv:
@@ -228,7 +234,7 @@ def _cmd_eval(args, argv) -> int:
 
 def _cmd_debug(args, argv) -> int:
     model = DebuggerModel.load(args.model)
-    code = Path(args.source).read_text()
+    code = _read_text(args.source)
     pred = model.predict_source(code)
     probs = pred.token_probs
     if probs.shape[0] == 0:

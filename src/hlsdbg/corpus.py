@@ -13,7 +13,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DataError, JsonlError
 from .mutate import BugRecord, BugType
@@ -195,6 +195,7 @@ _REQUIRED_FIELDS = (
     "token_labels",
     "line_labels",
 )
+_TEXT_FIELDS = ("id", "correct_code", "buggy_code", "snippet_correct", "snippet_buggy")
 _OPTIONAL_FIELDS = ("function_note", "bug_analysis", "strategy")
 
 
@@ -221,9 +222,8 @@ def record_to_dict(record: BugRecord) -> dict:
 
 
 def record_from_dict(payload: dict, lineno: int = 0) -> BugRecord:
-    for name in _REQUIRED_FIELDS:
-        if name not in payload:
-            raise JsonlError(f"missing field {name!r}", lineno)
+    notes = tuple(name for name in _OPTIONAL_FIELDS if payload.get(name) is not None)
+    _check_fields(payload, _REQUIRED_FIELDS, _TEXT_FIELDS + notes, lineno)
     try:
         bug_type = BugType(payload["bug_type"])
     except ValueError:
@@ -261,9 +261,19 @@ def write_jsonl(records: Iterable[BugRecord], path: str | Path) -> None:
             fh.write(json.dumps(record_to_dict(record)) + "\n")
 
 
-def read_jsonl(path: str | Path) -> list[BugRecord]:
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
+def _check_fields(payload: dict, required: Sequence[str], text: Sequence[str], lineno: int) -> None:
+    """Every `required` field is present and every `text` field is a string."""
+    for name in required:
+        if name not in payload:
+            raise JsonlError(f"missing field {name!r}", lineno)
+    for name in text:
+        if not isinstance(payload[name], str):
+            raise JsonlError(f"{name} must be a string", lineno)
+
+
+def _read_objects(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """(line number, JSON object) for each non-blank line of a JSONL file."""
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -271,10 +281,15 @@ def read_jsonl(path: str | Path) -> list[BugRecord]:
                 payload = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise JsonlError(f"invalid JSON ({exc.msg})", lineno) from None
+            except UnicodeDecodeError:
+                raise JsonlError("invalid UTF-8", lineno) from None
             if not isinstance(payload, dict):
                 raise JsonlError("each line must be a JSON object", lineno)
-            records.append(record_from_dict(payload, lineno))
-    return records
+            yield lineno, payload
+
+
+def read_jsonl(path: str | Path) -> list[BugRecord]:
+    return [record_from_dict(payload, lineno) for lineno, payload in _read_objects(path)]
 
 
 def write_samples_jsonl(samples: Iterable[SampleRecord], path: str | Path) -> None:
@@ -285,22 +300,13 @@ def write_samples_jsonl(samples: Iterable[SampleRecord], path: str | Path) -> No
 
 def read_samples_jsonl(path: str | Path) -> list[SampleRecord]:
     samples = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise JsonlError(f"invalid JSON ({exc.msg})", lineno) from None
-            for name in ("id", "code", "origin"):
-                if name not in payload:
-                    raise JsonlError(f"missing field {name!r}", lineno)
-            try:
-                origin = Origin(payload["origin"])
-            except ValueError:
-                raise JsonlError(f"unknown origin {payload['origin']!r}", lineno) from None
-            samples.append(SampleRecord(payload["id"], payload["code"], origin))
+    for lineno, payload in _read_objects(path):
+        _check_fields(payload, ("id", "code", "origin"), ("id", "code"), lineno)
+        try:
+            origin = Origin(payload["origin"])
+        except ValueError:
+            raise JsonlError(f"unknown origin {payload['origin']!r}", lineno) from None
+        samples.append(SampleRecord(payload["id"], payload["code"], origin))
     return samples
 
 

@@ -18,6 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .errors import DataError
 from .model import BUG_TYPE_ORDER, line_scores
 from .mutate import BugRecord
 
@@ -263,6 +264,8 @@ def evaluate(
 
     for record in records:
         pred = model.predict_record(record, given_location=given_location)
+        if len(record.token_labels) != pred.stream.n_tokens:
+            raise DataError(f"record {record.id}: labels do not match the lexed token count")
         probs = pred.token_probs
         labels = record.token_labels[: probs.shape[0]]
         if pred.truncated:

@@ -57,6 +57,11 @@ class Vocab:
         )
         return cls(list(cls.SPECIALS) + kept)
 
+    @classmethod
+    def for_records(cls, records: Iterable[BugRecord]) -> "Vocab":
+        """Vocabulary over the lexed buggy and correct code of every record."""
+        return cls.build(lex(code).texts() for r in records for code in (r.buggy_code, r.correct_code))
+
     def encode(self, texts: Sequence[str]) -> list[int]:
         return [self.token_to_id.get(t, self.UNK) for t in texts]
 
@@ -83,12 +88,14 @@ class ModelConfig:
     dtype: str = "f32"
 
     def __post_init__(self) -> None:
-        if self.d_model % self.n_heads != 0:
-            raise ValueError("d_model must be divisible by n_heads")
         for name in ("vocab_size", "n_layers_enc", "n_layers_dec", "d_model",
                      "n_heads", "d_ff", "max_src_len", "max_tgt_len", "head_mlp_layers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.d_model % self.n_heads != 0:
+            raise ValueError("d_model must be divisible by n_heads")
+        if self.max_src_len < 2:
+            raise ValueError("max_src_len must leave room for a token after the pooled slot")
         if self.vocab_size < len(Vocab.SPECIALS):
             raise ValueError("vocab_size smaller than the reserved specials")
         if self.dropout != 0.0:
@@ -174,13 +181,21 @@ def param_spec(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], float]]:
     return spec
 
 
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
+
+
 def dataclass_from_meta(cls, values, what: str, source: str | Path):
-    """`cls(**values)` for a dict read from a file; every malformed value is a DataError."""
+    """`cls(**values)` for a dict from a file, config text or flags; every malformed value is a DataError."""
     if not isinstance(values, dict):
         raise DataError(f"{what} in {source} is not a mapping")
     unknown = sorted(set(values) - set(cls.__dataclass_fields__))
     if unknown:
         raise DataError(f"unknown {what} keys in {source}: {', '.join(unknown)}")
+    for name, value in values.items():
+        kind = cls.__dataclass_fields__[name].type
+        typed = isinstance(value, _FIELD_TYPES[kind]) and not isinstance(value, bool)
+        if not typed or (isinstance(value, float) and not math.isfinite(value)):
+            raise DataError(f"bad {what} in {source}: {name} = {value!r} is not a valid {kind}")
     try:
         return cls(**values)
     except (TypeError, ValueError) as exc:
@@ -381,25 +396,10 @@ class DebuggerModel:
 
     # --- record-level API ----------------------------------------------------------
 
-    def record_input_ids(self, record: BugRecord, given_location: bool) -> tuple[list[int], list[bool], TokenStream]:
-        """(ids, real-token mask, stream) for a record's buggy code.
-
-        With `given_location`, sentinel brackets are inserted around the
-        labeled span; the mask marks which positions map back to lexed
-        tokens (sentinels are False).
-        """
-        stream = lex(record.buggy_code)
+    def input_ids(self, stream: TokenStream, span: tuple[int, int] | None = None) -> list[int]:
+        """Encoder input ids of lexed tokens; with `span`, sentinels bracket tokens [lo, hi)."""
         ids = self.vocab.encode(stream.texts())
-        if len(record.token_labels) != len(ids):
-            raise DataError(f"record {record.id}: labels do not match the lexed token count")
-        is_token = [True] * len(ids)
-        if given_location:
-            flagged = [i for i, y in enumerate(record.token_labels) if y == 1]
-            lo = flagged[0] if flagged else 0
-            hi = flagged[-1] + 1 if flagged else 0
-            ids = ids[:lo] + [Vocab.BUG_OPEN] + ids[lo:hi] + [Vocab.BUG_CLOSE] + ids[hi:]
-            is_token = is_token[:lo] + [False] + is_token[lo:hi] + [False] + is_token[hi:]
-        return ids, is_token, stream
+        return ids if span is None else bracket(ids, span, Vocab.BUG_OPEN, Vocab.BUG_CLOSE)
 
     def target_ids(self, record: BugRecord) -> list[int]:
         """Decoder supervision: the correct snippet's token ids plus END."""
@@ -413,35 +413,25 @@ class DebuggerModel:
         return ids[: self.config.max_tgt_len - 1] + [Vocab.END]
 
     def predict_record(self, record: BugRecord, given_location: bool = False) -> RecordPrediction:
-        ids, is_token, stream = self.record_input_ids(record, given_location)
-        return self._predict(ids, is_token, stream, n_flagged=sum(record.token_labels))
+        return self.predict_source(record.buggy_code, label_span(record) if given_location else None)
 
-    def predict_source(self, code: str) -> RecordPrediction:
-        """Run the full pipeline on unlabeled source text.
+    def predict_source(self, code: str, span: tuple[int, int] | None = None) -> RecordPrediction:
+        """Encode, score tokens and type, then decode a fix for source text.
 
-        Without labels the generation budget is derived from the model's
-        own flagged-token count instead of the ground truth.
+        With `span`, sentinels bracket the known bug tokens [lo, hi). The
+        generation budget is `3 * max(1, n) + 2` tokens, capped at
+        `max_tgt_len`: `n` is `hi - lo` with a span, and otherwise the count
+        of tokens the model itself flags (probability >= 0.5).
         """
         stream = lex(code)
-        ids = self.vocab.encode(stream.texts())
-        return self._predict(ids, [True] * len(ids), stream, n_flagged=None)
-
-    def _predict(
-        self, ids: list[int], is_token: list[bool], stream: TokenStream, n_flagged: int | None
-    ) -> RecordPrediction:
-        """Encode, score tokens and type, then decode a fix.
-
-        The generation budget is `3 * n_flagged + 2` tokens; `n_flagged=None`
-        counts the tokens the model itself flags (probability >= 0.5).
-        """
+        ids = self.input_ids(stream, span)
         enc = self.encode_ids([ids])
         with np.errstate(over="ignore"):
             probs_row = 1.0 / (1.0 + np.exp(-self.bug_logits(enc).data[0].astype(np.float64)))
         n_real = enc.token_counts[0]
-        token_probs = probs_row[:n_real][np.array(is_token[:n_real], dtype=bool)]
+        token_probs = probs_row[:n_real][~np.isin(ids[:n_real], (Vocab.BUG_OPEN, Vocab.BUG_CLOSE))]
         type_row = self.type_logits(enc).data[0].astype(np.float64)
-        if n_flagged is None:
-            n_flagged = int(np.sum(token_probs >= 0.5))
+        n_flagged = span[1] - span[0] if span is not None else int(np.sum(token_probs >= 0.5))
         budget = min(3 * max(1, n_flagged) + 2, self.config.max_tgt_len)
         gen_ids = self.generate(enc, max_len=budget)
         return RecordPrediction(
@@ -495,6 +485,18 @@ class DebuggerModel:
                 raise DataError(f"shape mismatch for {name!r} in {source}")
             model.params[name] = Tensor(tensors[name].astype(config.np_dtype, copy=False), requires_grad=True)
         return model
+
+
+def bracket(seq: Sequence, span: tuple[int, int], open_, close) -> list:
+    """`seq` with `open_` inserted before index `lo` and `close` before index `hi`."""
+    lo, hi = span
+    return [*seq[:lo], open_, *seq[lo:hi], close, *seq[hi:]]
+
+
+def label_span(record: BugRecord) -> tuple[int, int]:
+    """[lo, hi) hull from the first to the last flagged token; (0, 0) when none is."""
+    flagged = [i for i, y in enumerate(record.token_labels) if y == 1]
+    return (flagged[0], flagged[-1] + 1) if flagged else (0, 0)
 
 
 def line_scores(token_probs: np.ndarray, stream: TokenStream) -> dict[int, float]:

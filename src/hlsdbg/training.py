@@ -24,7 +24,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward, check_finite
 from .errors import DataError
-from .model import BUG_TYPE_INDEX, DebuggerModel, ModelConfig, Vocab, dataclass_from_meta
+from .lexer import lex
+from .model import BUG_TYPE_INDEX, DebuggerModel, ModelConfig, Vocab, bracket, dataclass_from_meta, label_span
 from .mutate import BugRecord
 from .optim import AdamState, adam_step, clip_global_norm
 from .tensorstore import load_tensors, save_tensors
@@ -164,10 +165,14 @@ class _Batch:
 def _build_batch(model: DebuggerModel, records: Sequence[BugRecord], givens: Sequence[bool]) -> _Batch:
     ids_batch, bug_rows, type_labels, tgt_rows = [], [], [], []
     for rec, given in zip(records, givens):
-        ids, is_token, _ = model.record_input_ids(rec, given)
-        it = iter(rec.token_labels)
-        bug_rows.append([next(it) if real else 0 for real in is_token])
-        ids_batch.append(ids)
+        stream = lex(rec.buggy_code)
+        if stream.n_tokens == 0:
+            raise DataError(f"record {rec.id}: no tokens to train on")
+        if len(rec.token_labels) != stream.n_tokens:
+            raise DataError(f"record {rec.id}: labels do not match the lexed token count")
+        span = label_span(rec) if given else None
+        ids_batch.append(model.input_ids(stream, span))
+        bug_rows.append(rec.token_labels if span is None else bracket(rec.token_labels, span, 0, 0))
         type_labels.append(BUG_TYPE_INDEX[rec.bug_type])
         tgt_rows.append(model.target_ids(rec))
     t = max(len(r) for r in tgt_rows)
@@ -415,7 +420,7 @@ def parse_config_text(text: str) -> tuple[dict, dict, dict]:
     else must be a TrainConfig field. `#` starts a comment.
     """
     train_fields = set(TrainConfig.__dataclass_fields__)
-    model_fields = set(ModelConfig.__dataclass_fields__)
+    model_fields = set(ModelConfig.__dataclass_fields__) - {"vocab_size", "n_bug_types"}  # fixed by the data
     loss_fields = set(LossWeights.__dataclass_fields__)
     train_kw: dict = {}
     model_kw: dict = {}

@@ -62,12 +62,6 @@ def _report(num: int, name: str, passed: bool, detail: str) -> None:
     print(line)
 
 
-def _vocab_for(records):
-    seqs = [lex(r.buggy_code).texts() for r in records]
-    seqs += [lex(r.correct_code).texts() for r in records]
-    return Vocab.build(seqs)
-
-
 # --- 1: injector round trip -----------------------------------------------------------
 
 
@@ -158,7 +152,7 @@ def test_criterion_2_gradient_checks():
     # a complete 2+2-layer model, every parameter perturbed centrally;
     # width is reduced so ~7k parameters finish inside the budget
     records = generate_corpus(make_corpus(2, seed=401), per_sample=2, seed=403).records[:2]
-    vocab = _vocab_for(records)
+    vocab = Vocab.for_records(records)
     config = ModelConfig(
         vocab_size=len(vocab), n_layers_enc=2, n_layers_dec=2, d_model=8,
         n_heads=2, d_ff=16, max_src_len=200, max_tgt_len=12,
@@ -261,7 +255,7 @@ def overfit_run():
     kernels = [(p.stem, p.read_text()) for p in sorted(TOY_CORPUS.glob("*.c"))]
     records = generate_corpus(kernels, per_sample=3, seed=OVERFIT_SEEDS["inject"]).records[:32]
     assert len(records) == 32
-    vocab = _vocab_for(records)
+    vocab = Vocab.for_records(records)
     config = ModelConfig(
         vocab_size=len(vocab), n_layers_enc=4, n_layers_dec=4, d_model=256,
         n_heads=4, d_ff=256, max_src_len=200, max_tgt_len=24, dtype="f64",
@@ -279,7 +273,7 @@ def overfit_run():
     given = evaluate(model, records, given_location=True, threshold=OVERFIT_TAU)
 
     # bit-for-bit curve reproducibility over a 3-epoch prefix
-    model2 = DebuggerModel(config, _vocab_for(records), seed=OVERFIT_SEEDS["model"])
+    model2 = DebuggerModel(config, Vocab.for_records(records), seed=OVERFIT_SEEDS["model"])
     prefix = train(model2, records, replace(OVERFIT_CFG, epochs=3), weights=OVERFIT_WEIGHTS)
     reproducible = prefix.curve == result.curve[: len(prefix.curve)]
 
@@ -474,7 +468,7 @@ def test_criterion_7_generalization():
     train_sources = {r.correct_code for r in train_recs}
     assert all(r.correct_code not in train_sources for r in held_recs), "held-out kernels leaked"
 
-    vocab = _vocab_for(train_recs)
+    vocab = Vocab.for_records(train_recs)
     config = ModelConfig(
         vocab_size=len(vocab), n_layers_enc=2, n_layers_dec=2, d_model=128,
         n_heads=4, d_ff=256, max_src_len=200, max_tgt_len=24, dtype="f64",

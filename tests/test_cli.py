@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -7,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hlsdbg.cli as cli
-from hlsdbg.corpus import read_jsonl, read_samples_jsonl
-from hlsdbg.errors import NumericError
-from hlsdbg.model import DebuggerModel
+from hlsdbg.corpus import read_jsonl, read_samples_jsonl, record_to_dict, write_jsonl
+from hlsdbg.errors import DataError, NumericError
+from hlsdbg.lexer import lex
+from hlsdbg.model import DebuggerModel, ModelConfig, Vocab
+from hlsdbg.mutate import generate_corpus
 from hlsdbg.synth import make_corpus
-from hlsdbg.training import read_curve_csv
+from hlsdbg.training import LossWeights, TrainConfig, read_curve_csv
 
 TINY_CONFIG = """\
 epochs = 2
@@ -285,8 +289,6 @@ def _unknown_config_key(path):
 @pytest.fixture()
 def model_path(tmp_path):
     """A tiny untrained model file."""
-    from hlsdbg.model import ModelConfig, Vocab
-
     vocab = Vocab(list(Vocab.SPECIALS) + ["int", "x"])
     config = ModelConfig(vocab_size=len(vocab), n_layers_enc=1, n_layers_dec=1, d_model=8,
                          n_heads=2, d_ff=8, max_src_len=16, max_tgt_len=4, dtype="f64")
@@ -333,6 +335,96 @@ class TestCorruptModelFile:
         assert _run(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("hlsdbg: data error:") and err.count("\n") == 1
+
+
+def _assert_data_exit(argv, capsys):
+    assert _run([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hlsdbg: data error:") and err.count("\n") == 1, err
+
+
+def _rewrite_first(path, edit):
+    lines = path.read_text().splitlines()
+    lines[0] = json.dumps(edit(json.loads(lines[0])))
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestMalformedRecords:
+    """Records the model cannot be scored or trained on: exit 2, one stderr line."""
+
+    @pytest.mark.parametrize("edit", [
+        lambda r: {**r, "token_labels": r["token_labels"][:-1]},
+        lambda r: {**r, "buggy_code": 5},
+        lambda r: {**r, "snippet_correct": None},
+        lambda r: {**r, "bug_analysis": ["not", "text"]},
+    ], ids=["too-few-labels", "code-not-text", "snippet-null", "note-not-text"])
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_exits_two_with_one_line(self, tmp_path, records_path, model_path, edit, command, capsys):
+        _rewrite_first(records_path, edit)
+        if command == "eval":
+            argv = ["eval", "--model", model_path, "--records", records_path]
+        else:
+            cfg = tmp_path / "tiny.cfg"
+            cfg.write_text(TINY_CONFIG)
+            argv = ["train", "--records", records_path, "--out-dir", tmp_path / "run", "--config", cfg]
+        _assert_data_exit(argv, capsys)
+
+    def test_empty_records_file(self, tmp_path, model_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("\n")
+        _assert_data_exit(["eval", "--model", model_path, "--records", empty], capsys)
+
+    def test_invalid_utf8(self, tmp_path, records_path, model_path, capsys):
+        records_path.write_bytes(records_path.read_bytes() + b'{"id": "\xff"}\n')
+        _assert_data_exit(["eval", "--model", model_path, "--records", records_path], capsys)
+
+
+class TestMalformedSamples:
+    @pytest.mark.parametrize("line", [
+        {"id": "a", "code": 5, "origin": "crawled"},
+        {"id": 7, "code": "int x;", "origin": "crawled"},
+        ["a", "int x;", "crawled"],
+    ], ids=["code-not-text", "id-not-text", "not-an-object"])
+    @pytest.mark.parametrize("command", ["inject", "dedup"])
+    def test_exits_two_with_one_line(self, tmp_path, line, command, capsys):
+        samples = tmp_path / "samples.jsonl"
+        samples.write_text(json.dumps(line) + "\n")
+        if command == "inject":
+            argv = ["inject", "--samples", samples, "--out", tmp_path / "out.jsonl"]
+        else:
+            argv = ["dedup", "--samples", samples, "--benchmark", samples, "--out", tmp_path / "out.jsonl"]
+        _assert_data_exit(argv, capsys)
+
+
+class TestTrainSettings:
+    """A setting no config type accepts is a data error, from a config file or a flag."""
+
+    @pytest.mark.parametrize("line", [
+        "lr = -1", "batch_size = 0", "epochs = 1.5", "seed = abc", "clip_norm = x", "lr = nan",
+        "model.d_model = 255", "model.dtype = f16", "model.n_heads = 0", "model.max_src_len = 1",
+        "model.d_ff = 2.0", "model.vocab_size = 9", "model.n_bug_types = 3", "loss.alpha_true = x",
+    ])
+    def test_config_line(self, tmp_path, records_path, line, capsys):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_CONFIG + line + "\n")
+        argv = ["train", "--records", records_path, "--out-dir", tmp_path / "run", "--config", cfg]
+        _assert_data_exit(argv, capsys)
+
+    @pytest.mark.parametrize("flag", [
+        ["--epochs", "0"], ["--lr", "-1"], ["--lr", "inf"], ["--given-location-fraction", "2"],
+        ["--batch-size", "0"],
+    ])
+    def test_flag(self, tmp_path, records_path, flag, capsys):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_CONFIG)
+        argv = ["train", "--records", records_path, "--out-dir", tmp_path / "run", "--config", cfg, *flag]
+        _assert_data_exit(argv, capsys)
+
+    def test_config_not_utf8(self, tmp_path, records_path, capsys):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_bytes(TINY_CONFIG.encode() + b"seed = \xff\n")
+        argv = ["train", "--records", records_path, "--out-dir", tmp_path / "run", "--config", cfg]
+        _assert_data_exit(argv, capsys)
 
 
 class TestGenLlm:
@@ -392,3 +484,134 @@ def test_corpus_commands_exit_zero_or_two_on_any_sample_text(codes):
         ]
         for argv in runs:
             assert _run([str(a) for a in argv]) in (0, 2), argv[0]
+
+
+def test_debug_source_not_utf8(tmp_path, model_path, capsys):
+    source = tmp_path / "kernel.c"
+    source.write_bytes(b"int x = 1; // \xff\n")
+    _assert_data_exit(["debug", source, "--model", model_path], capsys)
+
+
+def _run_quiet(argv):
+    """(exit code, stderr) of one CLI run, stdout discarded."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = _run([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+_FUZZ_RECORDS = generate_corpus(make_corpus(1, seed=41), per_sample=2, seed=5).records
+_FUZZ_VOCAB = Vocab.for_records(_FUZZ_RECORDS)
+FUZZ_CONFIG = """\
+epochs = 1
+batch_size = 2
+model.n_layers_enc = 1
+model.n_layers_dec = 1
+model.d_model = 8
+model.n_heads = 2
+model.d_ff = 8
+model.max_src_len = 32
+model.max_tgt_len = 6
+model.dtype = f64
+"""
+
+# `key = value` lines over every config field and a few unknown ones; values
+# are small ints (so a fuzzed model stays tiny), any float, keywords and text.
+_CONFIG_KEYS = sorted(
+    [*TrainConfig.__dataclass_fields__, "bogus"]
+    + [f"model.{k}" for k in [*ModelConfig.__dataclass_fields__, "bogus"]]
+    + [f"loss.{k}" for k in [*LossWeights.__dataclass_fields__, "bogus"]]
+)
+_plain_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+config_value = st.one_of(
+    st.integers(-2, 6).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["true", "false", "nan", "inf", "-inf", "1e400", "f16", "f32", "f64", ""]),
+    _plain_text,
+)
+config_line = st.one_of(
+    st.tuples(st.sampled_from(_CONFIG_KEYS), config_value).map(" = ".join),
+    _plain_text,
+)
+
+
+@given(st.lists(config_line, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_train_exits_cleanly_on_any_config_text(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        write_jsonl(_FUZZ_RECORDS, d / "records.jsonl")
+        (d / "run.cfg").write_text(FUZZ_CONFIG + "\n".join(lines) + "\n", encoding="utf-8")
+        code, err = _run_quiet(
+            ["train", "--records", d / "records.jsonl", "--out-dir", d / "run", "--config", d / "run.cfg"]
+        )
+    # 3 is the contract's numeric failure: a huge but finite lr or loss weight
+    # may overflow the loss, which is reported, not a crash
+    assert code in (0, 2, 3), err
+    assert code == 0 or err.count("\n") == 1, err
+
+
+# Records: valid ones from the injector with fields replaced by arbitrary JSON
+# or removed, buggy code replaced by fuzz text with labels sized to its tokens,
+# and lines that are not records at all.
+json_value = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 300) | st.floats() | _plain_text,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(_plain_text, kids, max_size=3),
+    max_leaves=6,
+)
+_RECORD_KEYS = sorted(record_to_dict(_FUZZ_RECORDS[0])) + ["function_note", "bug_analysis", "strategy", "extra"]
+_REMOVE = object()
+
+
+def _fuzzed_record(base, code_and_flags, edits):
+    rec = record_to_dict(base)
+    if code_and_flags is not None:
+        code, flagged = code_and_flags
+        try:
+            n = lex(code).n_tokens
+        except DataError:
+            n = len(flagged)
+        rec.update(buggy_code=code, token_labels=[int(i in flagged) for i in range(n)])
+    for key, value in edits:
+        if value is _REMOVE:
+            rec.pop(key, None)
+        else:
+            rec[key] = value
+    return json.dumps(rec)
+
+
+record_line = st.one_of(
+    st.builds(
+        _fuzzed_record,
+        st.sampled_from(_FUZZ_RECORDS),
+        st.none() | st.tuples(st.one_of(fuzz_text, spliced_kernel), st.sets(st.integers(0, 200), max_size=4)),
+        st.lists(st.tuples(st.sampled_from(_RECORD_KEYS), json_value | st.just(_REMOVE)), max_size=2),
+    ),
+    st.sampled_from(["[]", "5", "null", '"x"', "{not json", "{}"]),
+)
+
+
+@given(st.lists(record_line, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_eval_and_train_exit_zero_or_two_on_any_records(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        records = d / "records.jsonl"
+        records.write_text("".join(line + "\n" for line in lines))
+        model = DebuggerModel(
+            ModelConfig(vocab_size=len(_FUZZ_VOCAB), n_layers_enc=1, n_layers_dec=1, d_model=8,
+                        n_heads=2, d_ff=8, max_src_len=32, max_tgt_len=6, dtype="f64"),
+            _FUZZ_VOCAB,
+        )
+        model.save(d / "model.bin")
+        (d / "run.cfg").write_text(FUZZ_CONFIG)
+        runs = [
+            ["eval", "--model", d / "model.bin", "--records", records],
+            ["eval", "--model", d / "model.bin", "--records", records, "--given-location"],
+            ["train", "--records", records, "--out-dir", d / "run", "--config", d / "run.cfg",
+             "--given-location-fraction", "0.5"],
+        ]
+        for argv in runs:
+            code, err = _run_quiet(argv)
+            assert code in (0, 2), (argv[0], err)
+            assert code == 0 or err.count("\n") == 1, err

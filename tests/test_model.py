@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,15 @@ from hlsdbg.model import (
     EncoderOutput,
     ModelConfig,
     Vocab,
+    bracket,
     expected_param_count,
+    label_span,
     line_scores,
 )
+from hlsdbg.metrics import evaluate
 from hlsdbg.mutate import generate_corpus
 from hlsdbg.synth import make_corpus
+from hlsdbg.training import _build_batch
 
 
 @pytest.fixture(scope="module")
@@ -24,9 +30,7 @@ def records():
 
 @pytest.fixture(scope="module")
 def vocab(records):
-    seqs = [lex(r.buggy_code).texts() for r in records]
-    seqs += [lex(r.correct_code).texts() for r in records]
-    return Vocab.build(seqs)
+    return Vocab.for_records(records)
 
 
 def _tiny_config(vocab, **overrides):
@@ -297,14 +301,14 @@ class TestCachedDecoding:
 
     @pytest.mark.parametrize("max_len", [1, 2, 5, None])
     def test_ids_are_teacher_forced_argmaxes(self, deep, records, max_len):
-        enc = deep.encode_ids([deep.record_input_ids(records[0], False)[0]])
+        enc = deep.encode_ids([deep.input_ids(lex(records[0].buggy_code))])
         ids = deep.generate(enc, max_len=max_len)
         assert len(ids) == (max_len or deep.config.max_tgt_len) - 1  # this fixture never emits END
         tf = self._teacher_forced(deep, enc, ids)
         assert np.argmax(tf[: len(ids)], axis=-1).tolist() == ids
 
     def test_step_logits_match_teacher_forcing(self, deep, records):
-        enc = deep.encode_ids([deep.record_input_ids(records[1], True)[0]])
+        enc = deep.encode_ids([deep.input_ids(lex(records[1].buggy_code), label_span(records[1]))])
         ids = deep.generate(enc)
         cross = deep._cross(enc)
         cache = [None] * deep.config.n_layers_dec
@@ -316,7 +320,7 @@ class TestCachedDecoding:
 
     def test_early_end(self, vocab, records):
         m = DebuggerModel(_tiny_config(vocab, n_layers_dec=2), vocab, seed=13)
-        enc = m.encode_ids([m.record_input_ids(records[0], False)[0]])
+        enc = m.encode_ids([m.input_ids(lex(records[0].buggy_code))])
         full = m.generate(enc)
         tf = self._teacher_forced(m, enc, full)
         margin = tf.max(axis=-1) - tf[:, Vocab.END]  # how far END is from winning each step
@@ -335,21 +339,32 @@ class TestCachedDecoding:
 class TestRecordApi:
     def test_plain_input_matches_token_count(self, model, records):
         rec = records[0]
-        ids, is_token, stream = model.record_input_ids(rec, given_location=False)
+        stream = lex(rec.buggy_code)
+        ids = model.input_ids(stream)
         assert len(ids) == stream.n_tokens == len(rec.token_labels)
-        assert all(is_token)
+        assert Vocab.BUG_OPEN not in ids and Vocab.BUG_CLOSE not in ids
 
     def test_given_location_adds_sentinels(self, model, records):
         rec = records[0]
-        ids, is_token, _ = model.record_input_ids(rec, given_location=True)
+        flagged = [i for i, y in enumerate(rec.token_labels) if y]
+        span = label_span(rec)
+        assert span == (flagged[0], flagged[-1] + 1)
+        ids = model.input_ids(lex(rec.buggy_code), span)
         assert len(ids) == len(rec.token_labels) + 2
         assert ids.count(Vocab.BUG_OPEN) == 1 and ids.count(Vocab.BUG_CLOSE) == 1
         open_at = ids.index(Vocab.BUG_OPEN)
         close_at = ids.index(Vocab.BUG_CLOSE)
-        flagged = [i for i, y in enumerate(rec.token_labels) if y]
         assert open_at == flagged[0]
         assert close_at == flagged[-1] + 2
-        assert is_token.count(False) == 2
+        # label rows get zeros at the sentinels and keep every label in order
+        rows = bracket(rec.token_labels, span, 0, 0)
+        assert rows[open_at] == rows[close_at] == 0
+        assert [y for i, y in enumerate(rows) if i not in (open_at, close_at)] == rec.token_labels
+
+    def test_label_span_without_flagged_tokens(self, records):
+        rec = dataclasses.replace(records[0], token_labels=[0] * len(records[0].token_labels))
+        assert label_span(rec) == (0, 0)
+        assert bracket([7, 8], label_span(rec), "(", ")") == ["(", ")", 7, 8]
 
     def test_sentinels_keep_token_positions(self, vocab, records):
         # With the encoder's residual branches zeroed, each state depends on
@@ -359,18 +374,47 @@ class TestRecordApi:
             for w in ("wo", "w2", "b2"):
                 m.params[f"enc{i}.{w}"].data[...] = 0.0
         rec = records[0]
-        plain_ids, _, _ = m.record_input_ids(rec, given_location=False)
-        given_ids, is_token, _ = m.record_input_ids(rec, given_location=True)
+        stream = lex(rec.buggy_code)
+        plain_ids = m.input_ids(stream)
+        given_ids = m.input_ids(stream, label_span(rec))
         plain = m.encode_ids([plain_ids]).e_tokens.data[0]
         given = m.encode_ids([given_ids]).e_tokens.data[0]
-        assert np.array_equal(given[np.array(is_token)], plain)
+        real = ~np.isin(given_ids, [Vocab.BUG_OPEN, Vocab.BUG_CLOSE])
+        assert real.sum() == len(plain_ids)
+        assert np.array_equal(given[real], plain)
 
     def test_label_length_mismatch_raises(self, model, records):
-        import dataclasses
+        labels = records[0].token_labels
+        for wrong in (labels + [0], labels[:-1]):
+            rec = dataclasses.replace(records[0], token_labels=wrong)
+            for given in (False, True):
+                with pytest.raises(DataError):
+                    _build_batch(model, [rec], [given])
+                with pytest.raises(DataError):
+                    evaluate(model, [rec], given_location=given)
 
-        rec = dataclasses.replace(records[0], token_labels=records[0].token_labels + [0])
-        with pytest.raises(DataError):
-            model.record_input_ids(rec, given_location=False)
+    def test_plain_prediction_reads_no_labels(self, vocab, records):
+        model = DebuggerModel(_tiny_config(vocab), vocab, seed=11)
+        model.params["out_b"].data[Vocab.END] = -1e9  # the budget alone sets the fix length
+        rec = records[1]
+        want = model.predict_source(rec.buggy_code)
+        relabeled = [
+            dataclasses.replace(rec, token_labels=[y] * len(rec.token_labels)) for y in (0, 1)
+        ]
+        for r in [rec, *relabeled]:
+            got = model.predict_record(r)
+            for f in dataclasses.fields(got):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                assert (a.tobytes() == b.tobytes()) if isinstance(a, np.ndarray) else a == b, f.name
+
+    def test_given_location_predicts_on_label_span(self, model, records):
+        rec = records[1]
+        got = model.predict_record(rec, given_location=True)
+        want = model.predict_source(rec.buggy_code, label_span(rec))
+        assert got.generated_ids == want.generated_ids
+        assert got.token_probs.tobytes() == want.token_probs.tobytes()
+        lo, hi = label_span(rec)
+        assert len(got.generated_ids) <= 3 * max(1, hi - lo) + 1
 
     def test_predict_record_alignment(self, model, records):
         rec = records[1]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from hlsdbg.autodiff import Tape, Tensor, backward
 from hlsdbg.errors import DataError, NumericError
-from hlsdbg.lexer import lex
 from hlsdbg.model import DebuggerModel, ModelConfig, Vocab
 from hlsdbg.mutate import generate_corpus
 from hlsdbg.synth import make_corpus
@@ -38,9 +38,7 @@ def records():
 
 @pytest.fixture(scope="module")
 def vocab(records):
-    seqs = [lex(r.buggy_code).texts() for r in records]
-    seqs += [lex(r.correct_code).texts() for r in records]
-    return Vocab.build(seqs)
+    return Vocab.for_records(records)
 
 
 def _tiny_model(vocab, seed=1, **overrides):
@@ -287,6 +285,11 @@ class TestTrain:
     def test_empty_records_rejected(self, vocab):
         with pytest.raises(ValueError):
             train(_tiny_model(vocab), [], TrainConfig(epochs=1))
+
+    def test_record_without_tokens_rejected(self, vocab, records):
+        empty = dataclasses.replace(records[0], buggy_code=" \n", token_labels=[])
+        with pytest.raises(DataError):
+            train(_tiny_model(vocab), [empty], TrainConfig(epochs=1))
 
     def test_checkpoint_and_resume_reproduce_curve(self, vocab, records, tmp_path):
         cfg_full = TrainConfig(epochs=4, batch_size=4, lr=1e-3, seed=11, checkpoint_every=2)
