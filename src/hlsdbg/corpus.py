@@ -262,13 +262,20 @@ def write_jsonl(records: Iterable[BugRecord], path: str | Path) -> None:
 
 
 def _check_fields(payload: dict, required: Sequence[str], text: Sequence[str], lineno: int) -> None:
-    """Every `required` field is present and every `text` field is a string."""
+    """Every `required` field is present and every `text` field is a string of
+    Unicode text: a JSON escape such as "\\ud800" decodes to a lone surrogate,
+    which no prompt, hash or output file can encode."""
     for name in required:
         if name not in payload:
             raise JsonlError(f"missing field {name!r}", lineno)
     for name in text:
-        if not isinstance(payload[name], str):
+        value = payload[name]
+        if not isinstance(value, str):
             raise JsonlError(f"{name} must be a string", lineno)
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise JsonlError(f"{name} holds a lone surrogate", lineno) from None
 
 
 def _read_objects(path: str | Path) -> Iterator[tuple[int, dict]]:
