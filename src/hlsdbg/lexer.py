@@ -179,6 +179,11 @@ def lex(source: str) -> TokenStream:
             end = m.end()
             kind = K.STRING_LIT if c == '"' else K.CHAR_LIT
             append(_token(Token, (kind, source[i:end], i, end, line, col)))
+            # a backslash-newline continues the literal onto the next line
+            nl = source.rfind("\n", i, end)
+            if nl != -1:
+                line += source.count("\n", i, end)
+                line_start = nl + 1
         else:
             m = multi_op(source, i)
             if m is not None:

@@ -20,8 +20,8 @@ from typing import Protocol
 import requests
 
 from .errors import DataError
-from .lexer import lex, lines_of_tokens, tokens_in_byte_range
-from .mutate import BugRecord, BugType, _verify_lexed, find_sites, inject
+from .lexer import lex
+from .mutate import BugRecord, BugType, find_sites, inject, splice_record
 
 _CODE_OPEN = "<<<CODE"
 _CODE_CLOSE = "CODE>>>"
@@ -214,27 +214,10 @@ def build_record(
     at = code.find(snippet_correct)
     if at == -1:
         return None
-    buggy_code = code[:at] + snippet_buggy + code[at + len(snippet_correct):]
-    span = (at, at + len(snippet_buggy))
     try:
-        stream = lex(buggy_code)
-        lo, hi = tokens_in_byte_range(stream, span)
+        return splice_record(sample_id, code, at, at + len(snippet_correct), snippet_buggy, bug_type)
     except (DataError, ValueError):
         return None
-    if lo == hi:  # the rewrite must cover at least one token
-        return None
-    record = BugRecord(
-        id=sample_id,
-        correct_code=code,
-        buggy_code=buggy_code,
-        snippet_correct=snippet_correct,
-        snippet_buggy=snippet_buggy,
-        bug_type=bug_type,
-        buggy_byte_span=span,
-        token_labels=[1 if lo <= i < hi else 0 for i in range(stream.n_tokens)],
-        line_labels=lines_of_tokens(stream, range(lo, hi)),
-    )
-    return record if _verify_lexed(record, stream) else None
 
 
 def generate_via_llm(

@@ -190,7 +190,7 @@ def dataclass_from_meta(cls, values, what: str, source: str | Path):
         raise DataError(f"{what} in {source} is not a mapping")
     unknown = sorted(set(values) - set(cls.__dataclass_fields__))
     if unknown:
-        raise DataError(f"unknown {what} keys in {source}: {', '.join(unknown)}")
+        raise DataError(f"unknown {what} keys in {source}: {', '.join(map(repr, unknown))}")
     for name, value in values.items():
         kind = cls.__dataclass_fields__[name].type
         typed = isinstance(value, _FIELD_TYPES[kind]) and not isinstance(value, bool)

@@ -607,27 +607,38 @@ def inject(stream: TokenStream, site: MutationSite, seed: int) -> BugRecord:
         raise ValueError(f"unknown bug type {t}")
 
     a, b = _span_bytes(stream, span)
-    snippet_correct = stream.source[a:b]
+    return splice_record(f"{t.value.lower()}-{a}-{b}-{seed & 0xFFFFFFFF:08x}", stream.source, a, b, buggy_text, t)
+
+
+def splice_record(record_id: str, code: str, a: int, b: int, buggy_text: str, bug_type: BugType) -> BugRecord:
+    """The verified record whose buggy code replaces `code[a:b]` with `buggy_text`.
+
+    Raises DataError when the buggy code does not lex, and ValueError for an
+    identity rewrite, a rewrite that covers no token, or a record that fails
+    verification.
+    """
+    snippet_correct = code[a:b]
     if buggy_text == snippet_correct:
-        raise ValueError(f"operator produced an identity rewrite at {span}")
-    buggy_code = stream.source[:a] + buggy_text + stream.source[b:]
-    buggy_span = (a, a + len(buggy_text))
-    buggy_stream = lex(buggy_code)
-    s, e = tokens_in_byte_range(buggy_stream, buggy_span)
-    labels = [1 if s <= i < e else 0 for i in range(buggy_stream.n_tokens)]
+        raise ValueError(f"identity rewrite at bytes ({a}, {b})")
+    buggy_code = code[:a] + buggy_text + code[b:]
+    span = (a, a + len(buggy_text))
+    stream = lex(buggy_code)
+    lo, hi = tokens_in_byte_range(stream, span)
+    if lo == hi:
+        raise ValueError(f"rewrite at bytes ({a}, {b}) covers no token")
     record = BugRecord(
-        id=f"{t.value.lower()}-{a}-{b}-{seed & 0xFFFFFFFF:08x}",
-        correct_code=stream.source,
+        id=record_id,
+        correct_code=code,
         buggy_code=buggy_code,
         snippet_correct=snippet_correct,
         snippet_buggy=buggy_text,
-        bug_type=t,
-        buggy_byte_span=buggy_span,
-        token_labels=labels,
-        line_labels=lines_of_tokens(buggy_stream, [i for i in range(s, e)]),
+        bug_type=bug_type,
+        buggy_byte_span=span,
+        token_labels=[1 if lo <= i < hi else 0 for i in range(stream.n_tokens)],
+        line_labels=lines_of_tokens(stream, range(lo, hi)),
     )
-    if not _verify_lexed(record, buggy_stream):
-        raise ValueError(f"injection produced an inconsistent record at site {site}")
+    if not _verify_lexed(record, stream):
+        raise ValueError(f"spliced record {record_id} is inconsistent")
     return record
 
 

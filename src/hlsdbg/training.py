@@ -103,6 +103,11 @@ def loss_type(logits: Tensor, labels: np.ndarray) -> Tensor:
     return ad.neg(ad.mean(picked))
 
 
+def bug_weights(labels: np.ndarray, mask: np.ndarray, weights: LossWeights) -> np.ndarray:
+    """Per-position bug-loss weight: `alpha_true` flagged, `alpha_false` not, 0 padding."""
+    return (labels * weights.alpha_true + (1.0 - labels) * weights.alpha_false) * mask
+
+
 def loss_bug(logits: Tensor, labels: np.ndarray, mask: np.ndarray, weights: LossWeights) -> Tensor:
     """Weighted binary cross entropy over real token positions.
 
@@ -113,7 +118,7 @@ def loss_bug(logits: Tensor, labels: np.ndarray, mask: np.ndarray, weights: Loss
     m = np.asarray(mask, dtype=logits.dtype)
     if m.sum() == 0:
         raise ValueError("bug loss over an all-padding batch")
-    w = (y * weights.alpha_true + (1.0 - y) * weights.alpha_false) * m
+    w = bug_weights(y, m, weights)
     wsum = float(w.sum())
     if wsum == 0:
         raise ValueError("bug loss weights sum to zero")
@@ -282,6 +287,9 @@ def load_checkpoint(path: str | Path):
     for key in ("config", "vocab", "train_config", "loss_weights", "adam_t", "next_epoch", "step", "rng_state"):
         if key not in meta:
             raise DataError(f"checkpoint {path} lacks {key!r}")
+    for key in ("adam_t", "next_epoch", "step"):
+        if type(meta[key]) is not int or meta[key] < 0:
+            raise DataError(f"checkpoint {path} has {key} = {meta[key]!r}, not a non-negative int")
     model = DebuggerModel.restore(meta, tensors, path)
     state = AdamState(t=meta["adam_t"])
     for name, p in model.params.items():
@@ -292,8 +300,11 @@ def load_checkpoint(path: str | Path):
             raise DataError(f"checkpoint {path} has bad Adam moments for {name!r}")
         state.m[name], state.v[name] = (t.astype(p.dtype, copy=False) for t in moments)
     rng = random.Random()
-    version, internal, gauss = meta["rng_state"]
-    rng.setstate((version, tuple(internal), gauss))
+    try:
+        version, internal, gauss = meta["rng_state"]
+        rng.setstate((version, tuple(internal), gauss))
+    except (TypeError, ValueError, OverflowError):
+        raise DataError(f"checkpoint {path} has a malformed rng_state") from None
     cfg = dataclass_from_meta(TrainConfig, meta["train_config"], "train config", path)
     weights = dataclass_from_meta(LossWeights, meta["loss_weights"], "loss weights", path)
     return model, state, rng, meta["next_epoch"], meta["step"], cfg, weights
@@ -326,6 +337,8 @@ def resume(
     model, state, rng, next_epoch, step, cfg, weights = load_checkpoint(checkpoint)
     if epochs is not None:
         cfg.epochs = epochs
+    if cfg.epochs <= next_epoch:
+        raise DataError(f"checkpoint {checkpoint} ends at epoch {next_epoch}; epochs = {cfg.epochs} adds none")
     result = _run(model, records, cfg, weights, state, rng, next_epoch, step, out_dir, stop_fn, append_curve=True)
     return model, result
 
@@ -369,7 +382,14 @@ def _run(
                     batch, enc.token_counts, enc.e_tokens.shape[1], model.config.np_dtype
                 )
                 l_t = loss_type(model.type_logits(enc), batch.type_labels)
-                l_b = loss_bug(model.bug_logits(enc), labels, mask, weights)
+                bug_logits = model.bug_logits(enc)
+                # No position weighs anything when alpha_false = 0 and no flagged
+                # token is left after truncation, or alpha_true = 0 and every
+                # token is flagged: the batch's bug term is then zero.
+                if bug_weights(labels, mask, weights).any():
+                    l_b = loss_bug(bug_logits, labels, mask, weights)
+                else:
+                    l_b = ad.scale(ad.sum_(bug_logits), 0.0)
                 l_d = loss_decoder(
                     model.decoder_logits(enc, batch.tgt_in, batch.tgt_keep),
                     batch.tgt_out,

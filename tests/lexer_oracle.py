@@ -1,8 +1,10 @@
 """Reference lexer: the original character-by-character `hlsdbg.lexer.lex`.
 
-Kept unchanged as a test oracle. `tests/test_lexer.py` asserts that the
+Kept as a test oracle. `tests/test_lexer.py` asserts that the
 regex-driven production lexer yields the same tokens, or raises the same
-`LexError`, on every input it is given.
+`LexError`, on every input it is given. Its one change since: a string or
+char literal continued with a backslash-newline advances the line count, as
+a block comment does.
 """
 
 from __future__ import annotations
@@ -116,6 +118,10 @@ def oracle_lex(source: str) -> TokenStream:
                 raise LexError(f"unterminated {what}", start_line, start_col)
             end = j + 1
             tokens.append(Token(kind, source[start:end], start, end, start_line, start_col))
+            line += source.count("\n", start, end)
+            nl = source.rfind("\n", start, end)
+            if nl != -1:
+                line_start = nl + 1
             i = end
             continue
 

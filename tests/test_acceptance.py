@@ -266,11 +266,14 @@ def overfit_run():
         if epoch + 1 < 60 or (epoch + 1) % 10:
             return False
         rep = evaluate(m, records, given_location=False, threshold=OVERFIT_TAU)
+        print(f"epoch {epoch + 1:3d}  {time.time() - t0:6.1f}s  "
+              f"token F1 {rep.token.f1:.3f}  correction {rep.correction_accuracy:.3f}", flush=True)
         return rep.token.f1 >= 0.95 and rep.correction_accuracy >= 0.90
 
     result = train(model, records, OVERFIT_CFG, weights=OVERFIT_WEIGHTS, stop_fn=stop_fn)
     plain = evaluate(model, records, given_location=False, threshold=OVERFIT_TAU)
     given = evaluate(model, records, given_location=True, threshold=OVERFIT_TAU)
+    print(plain.text_summary() + given.text_summary(), end="")
 
     # bit-for-bit curve reproducibility over a 3-epoch prefix
     model2 = DebuggerModel(config, Vocab.for_records(records), seed=OVERFIT_SEEDS["model"])
@@ -481,6 +484,7 @@ def test_criterion_7_generalization():
     chance = float(np.mean([
         min(1.0, 5.0 / len({t.line for t in lex(r.buggy_code).tokens})) for r in held_recs
     ]))
+    print("held-out " + report.text_summary() + f"chance top-5 baseline: {chance:.4f}")
     auc = report.token.auc
     elapsed = time.time() - t0
     ok = auc is not None and auc > 0.7 and report.top5 > chance

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import tempfile
@@ -427,6 +428,36 @@ class TestTrainSettings:
         _assert_data_exit(argv, capsys)
 
 
+@pytest.fixture()
+def checkpoint_path(tmp_path, records_path):
+    """The checkpoint a 1-epoch tiny training run ends with."""
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CONFIG.replace("epochs = 2", "epochs = 1"))
+    run = tmp_path / "first"
+    argv = ["train", "--records", records_path, "--out-dir", run, "--config", cfg, "--checkpoint-every", "1"]
+    assert _run([str(a) for a in argv]) == 0
+    return run / "checkpoint_00001.bin"
+
+
+class TestResumeChecks:
+    """A resume that adds no epoch, or a checkpoint with a malformed counter or RNG state, is a data error."""
+
+    @pytest.mark.parametrize("epochs", [None, "1", "0", "-3"])
+    def test_epochs_must_exceed_checkpoint(self, tmp_path, records_path, checkpoint_path, epochs, capsys):
+        argv = ["train", "--records", records_path, "--out-dir", tmp_path / "run", "--resume", checkpoint_path]
+        _assert_data_exit(argv + (["--epochs", epochs] if epochs else []), capsys)
+
+    @pytest.mark.parametrize("key, value", [
+        ("rng_state", 5), ("rng_state", [3, [1, 2], None]), ("rng_state", "abc"),
+        ("step", "x"), ("step", -1), ("next_epoch", 1.5), ("adam_t", None), ("adam_t", True),
+    ])
+    def test_malformed_meta(self, tmp_path, records_path, checkpoint_path, key, value, capsys):
+        _rewrite_header(checkpoint_path, lambda header: header["meta"].update({key: value}))
+        argv = ["train", "--records", records_path, "--out-dir", tmp_path / "run",
+                "--resume", checkpoint_path, "--epochs", "3"]
+        _assert_data_exit(argv, capsys)
+
+
 class TestGenLlm:
     def test_stub_generation(self, tmp_path):
         out = tmp_path / "llm.jsonl"
@@ -537,6 +568,7 @@ config_line = st.one_of(
 
 
 @given(st.lists(config_line, max_size=5))
+@example(["loss.alpha_false = 0"])  # max_src_len 32 cuts off every flagged token
 @settings(max_examples=60, deadline=None)
 def test_train_exits_cleanly_on_any_config_text(lines):
     with tempfile.TemporaryDirectory() as tmp:
@@ -615,4 +647,72 @@ def test_eval_and_train_exit_zero_or_two_on_any_records(lines):
         for argv in runs:
             code, err = _run_quiet(argv)
             assert code in (0, 2), (argv[0], err)
+            assert code == 0 or err.count("\n") == 1, err
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_artifacts() -> dict[str, bytes]:
+    """Bytes of a tiny model file and of the 1-epoch checkpoint it was trained from."""
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        write_jsonl(_FUZZ_RECORDS, d / "records.jsonl")
+        (d / "run.cfg").write_text(FUZZ_CONFIG)
+        argv = ["train", "--records", d / "records.jsonl", "--out-dir", d / "run", "--config", d / "run.cfg",
+                "--checkpoint-every", "1"]
+        assert _run_quiet(argv) == (0, "")
+        return {name: (d / "run" / name).read_bytes() for name in ("model.bin", "checkpoint_00001.bin")}
+
+
+def _mutate(path: Path, mutation) -> None:
+    kind, at, value = mutation
+    if kind == "meta":
+        def edit(header):
+            keys = sorted(header["meta"])
+            header["meta"][keys[int(at * (len(keys) - 1))]] = value
+
+        _rewrite_header(path, edit)
+        return
+    data = path.read_bytes()
+    if kind == "truncate":
+        data = data[:int(at * len(data))]
+    else:
+        header_end = 15 + int.from_bytes(data[7:15], "little")
+        lo, hi = (0, header_end) if kind == "header" else (header_end, len(data))
+        i = lo + int(at * (hi - lo - 1))
+        data = data[:i] + value + data[i + len(value):]
+    path.write_bytes(data)
+
+
+# truncation at any offset, a few bytes overwritten in the header or the
+# payload, or one meta value replaced by arbitrary JSON; `at` is a fraction
+# of the file, region or sorted meta keys
+_unit = st.floats(0, 1)
+file_mutation = st.one_of(
+    st.tuples(st.just("truncate"), _unit, st.none()),
+    st.tuples(st.sampled_from(["header", "payload"]), _unit, st.binary(min_size=1, max_size=8)),
+    st.tuples(st.just("meta"), _unit, json_value),
+)
+
+
+@given(st.sampled_from(["model.bin", "checkpoint_00001.bin"]), file_mutation)
+@settings(max_examples=60, deadline=None)
+def test_eval_debug_resume_exit_cleanly_on_any_model_bytes(name, mutation):
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        path = d / "file.bin"
+        path.write_bytes(_fuzz_artifacts()[name])
+        _mutate(path, mutation)
+        write_jsonl(_FUZZ_RECORDS, d / "records.jsonl")
+        (d / "kernel.c").write_text(_FUZZ_RECORDS[0].buggy_code)
+        runs = [
+            (["eval", "--model", path, "--records", d / "records.jsonl"], (0, 2)),
+            (["debug", d / "kernel.c", "--model", path], (0, 2)),
+            # 3 is the contract's numeric failure: overwritten payload bytes
+            # may hold non-finite or huge weights
+            (["train", "--records", d / "records.jsonl", "--out-dir", d / "run", "--resume", path,
+              "--epochs", "2"], (0, 2, 3)),
+        ]
+        for argv, allowed in runs:
+            code, err = _run_quiet(argv)
+            assert code in allowed, (argv[0], err)
             assert code == 0 or err.count("\n") == 1, err

@@ -72,6 +72,14 @@ def test_string_and_char_literals():
     assert '"a\\"b"' in texts and "'x'" in texts
 
 
+@pytest.mark.parametrize("literal", ['"a\\\nb"', "'\\\n'"], ids=["string", "char"])
+def test_backslash_newline_in_literal_advances_line(literal):
+    toks = lex(f"char *s = {literal};\nint x;").tokens
+    assert toks[4].text == literal and toks[4].line == 1
+    after = toks[6]
+    assert (after.text, after.line, after.col) == ("int", 3, 1)
+
+
 def test_offsets_and_lines_on_kernel():
     stream = lex(KERNEL)
     for tok in stream.tokens:

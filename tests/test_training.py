@@ -291,6 +291,20 @@ class TestTrain:
         with pytest.raises(DataError):
             train(_tiny_model(vocab), [empty], TrainConfig(epochs=1))
 
+    @pytest.mark.parametrize(
+        "weights, label",
+        [(LossWeights(alpha_false=0.0), 0), (LossWeights(alpha_true=0.0), 1)],
+        ids=["no_flag_zero_alpha_false", "all_flagged_zero_alpha_true"],
+    )
+    def test_unweighted_batch_has_zero_bug_term(self, vocab, records, weights, label):
+        batch = [dataclasses.replace(r, token_labels=[label] * len(r.token_labels)) for r in records[:2]]
+        model = _tiny_model(vocab, seed=8)
+        head = {k: p.data.copy() for k, p in model.params.items() if k.startswith("head_bug.")}
+        result = train(model, batch, TrainConfig(epochs=2, batch_size=2, lr=1e-3, seed=0), weights)
+        assert [row.l_bug for row in result.curve] == [0.0, 0.0]
+        assert all(np.isfinite(row.l_all) for row in result.curve)
+        assert all(np.array_equal(model.params[k].data, v) for k, v in head.items())
+
     def test_checkpoint_and_resume_reproduce_curve(self, vocab, records, tmp_path):
         cfg_full = TrainConfig(epochs=4, batch_size=4, lr=1e-3, seed=11, checkpoint_every=2)
         full = train(_tiny_model(vocab, seed=7), records[:4], cfg_full, out_dir=tmp_path / "full")
