@@ -5,8 +5,11 @@ sample groups so no correct kernel leaks across the boundary.
 """
 
 import argparse
+import shlex
+import sys
 from pathlib import Path
 
+from hlsdbg import __version__
 from hlsdbg.corpus import DatasetManifest, split, write_jsonl
 from hlsdbg.mutate import generate_corpus
 from hlsdbg.synth import make_corpus
@@ -39,8 +42,8 @@ def main() -> int:
         write_jsonl(report.records, args.out_dir / "records.jsonl")
 
     manifest = DatasetManifest(
-        version="0.1.0",
-        command=f"make_synth_corpus --kernels {args.kernels} --per-sample {args.per_sample} --seed {args.seed}",
+        version=__version__,
+        command="make_synth_corpus " + shlex.join(sys.argv[1:]),
         seed=args.seed,
         counts=counts,
         histogram={t.name: c for t, c in sorted(report.histogram.items(), key=lambda kv: kv[0].name)},

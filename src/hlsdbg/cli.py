@@ -35,7 +35,7 @@ from .corpus import (
 )
 from .errors import DataError, NumericError
 from .llmgen import HttpCompletionClient, StubCompletionClient, generate_via_llm
-from .metrics import evaluate, write_metrics_csv
+from .metrics import evaluate, rank_lines, write_metrics_csv
 from .model import BUG_TYPE_ORDER, DebuggerModel, ModelConfig, Vocab, dataclass_from_meta, line_scores
 from .mutate import generate_corpus
 from .synth import make_corpus
@@ -241,12 +241,11 @@ def _cmd_debug(args, argv) -> int:
         raise DataError(f"{args.source}: no tokens to score")
 
     per_line = line_scores(probs, pred.stream)
-    ranked = sorted(per_line.items(), key=lambda kv: (-kv[1], kv[0]))[: args.top]
     source_lines = code.splitlines()
     print(f"debug: {args.source} ({probs.shape[0]} tokens scored)")
-    for line, score in ranked:
+    for line in rank_lines(per_line)[: args.top]:
         text = source_lines[line - 1].strip() if line - 1 < len(source_lines) else ""
-        print(f"  line {line:>4}  score {score:.4f}  | {text}")
+        print(f"  line {line:>4}  score {per_line[line]:.4f}  | {text}")
     predicted_type = BUG_TYPE_ORDER[int(np.argmax(pred.type_logits))]
     print(f"predicted bug type: {predicted_type.name}")
     print(f"proposed snippet: {pred.generated_text}")

@@ -140,21 +140,21 @@ def binary_metrics(
     )
 
 
-def code_topk(line_scores: Mapping[int, float], true_lines: set[int], k: int) -> bool:
-    """True when any of the k best-scored lines is actually buggy.
+def rank_lines(line_scores: Mapping[int, float]) -> list[int]:
+    """Line numbers, best score first; ties go to the smaller line number."""
+    return sorted(line_scores, key=lambda line: (-line_scores[line], line))
 
-    Ties are broken toward the smaller line number so rankings are
-    deterministic.  An empty score map is a miss; an empty truth set is
-    a caller bug.
+
+def code_topk(line_scores: Mapping[int, float], true_lines: set[int], k: int) -> bool:
+    """True when any of the k best-ranked lines (`rank_lines`) is actually buggy.
+
+    An empty score map is a miss; an empty truth set is a caller bug.
     """
     if not true_lines:
         raise ValueError("true_lines must be non-empty")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not line_scores:
-        return False
-    ranked = sorted(line_scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    return any(line in true_lines for line, _ in ranked[:k])
+    return any(line in true_lines for line in rank_lines(line_scores)[:k])
 
 
 @dataclass

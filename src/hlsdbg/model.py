@@ -388,7 +388,7 @@ class DebuggerModel:
         nxt = Vocab.START
         for pos in range(max(0, limit)):
             logits = self._decode(np.array([[nxt]], dtype=np.int64), pos, cross, None, cache)
-            nxt = int(np.argmax(logits.data[0, -1]))
+            nxt = int(np.argmax(_finite(logits.data[0, -1], "decoder logits")))
             if nxt == Vocab.END:
                 break
             out.append(nxt)
@@ -421,19 +421,22 @@ class DebuggerModel:
         With `span`, sentinels bracket the known bug tokens [lo, hi). The
         generation budget is `3 * max(1, n) + 2` tokens, capped at
         `max_tgt_len`: `n` is `hi - lo` with a span, and otherwise the count
-        of tokens the model itself flags (probability >= 0.5).
+        of tokens the model itself flags (probability >= 0.5). Non-finite
+        scores or step logits (weights that are NaN, inf or overflow) raise
+        DataError.
         """
         stream = lex(code)
         ids = self.input_ids(stream, span)
-        enc = self.encode_ids([ids])
-        with np.errstate(over="ignore"):
-            probs_row = 1.0 / (1.0 + np.exp(-self.bug_logits(enc).data[0].astype(np.float64)))
-        n_real = enc.token_counts[0]
-        token_probs = probs_row[:n_real][~np.isin(ids[:n_real], (Vocab.BUG_OPEN, Vocab.BUG_CLOSE))]
-        type_row = self.type_logits(enc).data[0].astype(np.float64)
-        n_flagged = span[1] - span[0] if span is not None else int(np.sum(token_probs >= 0.5))
-        budget = min(3 * max(1, n_flagged) + 2, self.config.max_tgt_len)
-        gen_ids = self.generate(enc, max_len=budget)
+        with np.errstate(over="ignore", invalid="ignore"):
+            enc = self.encode_ids([ids])
+            bug_row = _finite(self.bug_logits(enc).data[0].astype(np.float64), "bug scores")
+            probs_row = 1.0 / (1.0 + np.exp(-bug_row))
+            n_real = enc.token_counts[0]
+            token_probs = probs_row[:n_real][~np.isin(ids[:n_real], (Vocab.BUG_OPEN, Vocab.BUG_CLOSE))]
+            type_row = _finite(self.type_logits(enc).data[0].astype(np.float64), "type scores")
+            n_flagged = span[1] - span[0] if span is not None else int(np.sum(token_probs >= 0.5))
+            budget = min(3 * max(1, n_flagged) + 2, self.config.max_tgt_len)
+            gen_ids = self.generate(enc, max_len=budget)
         return RecordPrediction(
             token_probs=token_probs,
             type_logits=type_row,
@@ -485,6 +488,12 @@ class DebuggerModel:
                 raise DataError(f"shape mismatch for {name!r} in {source}")
             model.params[name] = Tensor(tensors[name].astype(config.np_dtype, copy=False), requires_grad=True)
         return model
+
+
+def _finite(row: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(row).all():
+        raise DataError(f"the model produced non-finite {what}; its weights are unusable")
+    return row
 
 
 def bracket(seq: Sequence, span: tuple[int, int], open_, close) -> list:

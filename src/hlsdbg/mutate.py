@@ -1,10 +1,12 @@
 """Deterministic logic-bug injection for C-like HLS sources.
 
 Eight mutation operators produce exactly-labeled supervised records from
-correct code. Each operator has a structural precondition detected by
-pattern scans over the token stream (no parsing); injection rewrites the
-matched span, re-lexes, and derives token/line labels from the byte span of
-the buggy snippet. Everything is a pure function of (source, seed).
+correct code. Each operator is one finder: a pattern scan over the token
+stream (no parsing) that yields sites carrying their candidate rewrites,
+each a token span and its replacement text. Injection draws one rewrite
+with a seeded PRNG, splices it in, re-lexes, and derives token/line labels
+from the byte span of the buggy snippet. Everything is a pure function of
+(source, seed).
 """
 
 from __future__ import annotations
@@ -30,18 +32,21 @@ class BugType(enum.Enum):
     BUF = "BUF"    # wrong half of a split buffer
 
 
+Rewrite = tuple[tuple[int, int], str]  # (half-open token span, replacement text)
+
+
 @dataclass(frozen=True)
 class MutationSite:
     bug_type: BugType
     token_span: tuple[int, int]  # half-open token index interval, non-empty
-    context: str
-    # operator-specific payload resolved at inject time
-    detail: dict = field(default_factory=dict, compare=False)
+    rewrites: tuple[Rewrite, ...]  # the candidates `inject` draws from
 
     def __post_init__(self) -> None:
         lo, hi = self.token_span
         if hi <= lo:
             raise ValueError(f"empty token span {self.token_span}")
+        if not self.rewrites:
+            raise ValueError(f"site at {self.token_span} has no rewrite")
 
 
 @dataclass
@@ -230,11 +235,40 @@ def _identifier_used_in(tokens: Sequence[Token], name: str, lo: int, hi: int) ->
     )
 
 
+def _rewrite_tokens(stream: TokenStream, span: tuple[int, int], replacements: dict[int, str]) -> str:
+    """Span text with some tokens replaced, original gaps preserved."""
+    lo, hi = span
+    out = []
+    pos = stream.tokens[lo].byte_start
+    for idx in range(lo, hi):
+        tok = stream.tokens[idx]
+        out.append(stream.source[pos:tok.byte_start])
+        out.append(replacements.get(idx, tok.text))
+        pos = tok.byte_end
+    return "".join(out)
+
+
+def _index_expr_span(tokens: Sequence[Token], idx: int) -> tuple[int, int] | None:
+    """Innermost `[ ... ]` content span containing token `idx`."""
+    depth = 0
+    for j in range(idx, -1, -1):
+        if tokens[j].text == "]":
+            depth += 1
+        elif tokens[j].text == "[":
+            if depth == 0:
+                close = _match_forward(tokens, j, "[", "]")
+                if close != -1 and close > idx:
+                    return (j + 1, close)
+                return None
+            depth -= 1
+    return None
+
+
 # --- site discovery ----------------------------------------------------------
 
 
 def find_sites(stream: TokenStream, bug_type: BugType) -> list[MutationSite]:
-    """All positions where `bug_type`'s operator applies, in source order."""
+    """All sites where `bug_type`'s operator applies, with their rewrites, in source order."""
     finder = _FINDERS[bug_type]
     sites = finder(stream)
     sites.sort(key=lambda s: s.token_span)
@@ -261,7 +295,10 @@ def _find_oob(stream: TokenStream) -> list[MutationSite]:
             if size == bval and _identifier_used_in(toks, name, loop.close_paren + 1, loop.body_end)
         ]
         if hit:
-            sites.append(MutationSite(BugType.OOB, (lo, hi), "loop-bound", {"bound_value": bval}))
+            span = (lo, hi)
+            relaxed = _rewrite_tokens(stream, span, {lo + 1: "<="})
+            bumped = _rewrite_tokens(stream, span, {lo + 2: str(bval + 1)})
+            sites.append(MutationSite(BugType.OOB, span, ((span, relaxed), (span, bumped))))
     return sites
 
 
@@ -277,9 +314,9 @@ def _find_init(stream: TokenStream) -> list[MutationSite]:
             for i, t in enumerate(toks[d.stmt_end + 1:], start=d.stmt_end + 1)
         )
         if read_later:
-            sites.append(
-                MutationSite(BugType.INIT, d.init_span, "declaration-initializer", {"eq_idx": d.init_eq})
-            )
+            # keep everything up to (not including) `=`: the name plus any array suffix
+            kept = stream.source[toks[d.name_idx].byte_start:toks[d.init_eq - 1].byte_end]
+            sites.append(MutationSite(BugType.INIT, d.init_span, ((d.init_span, kept),)))
     return sites
 
 
@@ -321,9 +358,8 @@ def _find_shft(stream: TokenStream) -> list[MutationSite]:
             width = _shift_width(toks, i, decls)
             if val >= width:
                 continue  # already out of bounds; nothing to break
-            sites.append(
-                MutationSite(BugType.SHFT, (i + 1, i + 2), "shift-amount", {"width": width})
-            )
+            span = (i + 1, i + 2)
+            sites.append(MutationSite(BugType.SHFT, span, tuple((span, str(width + k)) for k in range(1, 9))))
     return sites
 
 
@@ -336,25 +372,15 @@ def _find_inf(stream: TokenStream) -> list[MutationSite]:
     for loop in _scan_loop_headers(toks):
         lo, hi = loop.cond_span
         rel = [j for j in range(lo, hi) if toks[j].text in _INVERT]
-        variants = []
+        rewrites = []
         if rel:
-            variants.append("invert")
+            rewrites.append(((rel[0], rel[0] + 1), _INVERT[toks[rel[0]].text]))
         if loop.inc_span is not None:
-            variants.append("drop-increment")
-        if not variants:
+            rewrites.append(((loop.inc_span[0] - 1, loop.inc_span[1]), ";"))  # drop the increment
+        if not rewrites:
             continue
         span_hi = loop.inc_span[1] if loop.inc_span is not None else hi
-        sites.append(
-            MutationSite(
-                BugType.INF,
-                (lo, span_hi),
-                "loop-header",
-                {"rel_idx": rel[0] if rel else None,
-                 "inc_semi": loop.inc_span[0] - 1 if loop.inc_span else None,
-                 "inc_end": loop.inc_span[1] if loop.inc_span else None,
-                 "variants": variants},
-            )
-        )
+        sites.append(MutationSite(BugType.INF, (lo, span_hi), tuple(rewrites)))
     return sites
 
 
@@ -384,7 +410,7 @@ def _find_use(stream: TokenStream) -> list[MutationSite]:
         if feeds:
             width = 2 if d.type_words == ("unsigned", "int") else 1
             lo = d.name_idx - len(d.type_words)
-            sites.append(MutationSite(BugType.USE, (lo, lo + width), "unsigned-decl"))
+            sites.append(MutationSite(BugType.USE, (lo, lo + width), (((lo, lo + width), "int"),)))
     return sites
 
 
@@ -425,14 +451,12 @@ def _find_mlu(stream: TokenStream) -> list[MutationSite]:
         bracketed = [off for off in diff if _inside_brackets(toks, b_lo, b_hi, b_lo + off)]
         if not bracketed:
             continue
-        sites.append(
-            MutationSite(
-                BugType.MLU,
-                (b_lo, b_hi),
-                "unroll-offset",
-                {"positions": bracketed, "neighbor_lo": a_lo},
-            )
-        )
+        rewrites = []
+        for off in bracketed:  # copy the neighbour's literal into the index expression
+            lit = b_lo + off
+            span = _index_expr_span(toks, lit) or (lit, lit + 1)
+            rewrites.append((span, _rewrite_tokens(stream, span, {lit: toks[a_lo + off].text})))
+        sites.append(MutationSite(BugType.MLU, (b_lo, b_hi), tuple(rewrites)))
     return sites
 
 
@@ -461,7 +485,7 @@ def _find_zero(stream: TokenStream) -> list[MutationSite]:
         val = _int_value(lit.text)
         if val is None or val == 0:
             continue
-        sites.append(MutationSite(BugType.ZERO, (lo + 2, lo + 3), "declaration-initializer"))
+        sites.append(MutationSite(BugType.ZERO, (lo + 2, lo + 3), (((lo + 2, lo + 3), "0"),)))
     return sites
 
 
@@ -505,12 +529,11 @@ def _find_buf(stream: TokenStream) -> list[MutationSite]:
         n_inner = inner[1] - inner[0]
         if n_inner >= 3 and toks[inner[0]].kind is TokenKind.IDENTIFIER and toks[inner[0] + 1].text == "+":
             if _is_half_offset(toks, inner[0] + 2, inner[1], size):
-                sites.append(MutationSite(BugType.BUF, inner, "split-buffer-index", {"variant": "drop"}))
+                sites.append(MutationSite(BugType.BUF, inner, ((inner, toks[inner[0]].text),)))
         elif n_inner == 1 and toks[inner[0]].kind is TokenKind.IDENTIFIER:
             if size is not None and size % 2 == 0 and size >= 2:
-                sites.append(
-                    MutationSite(BugType.BUF, inner, "split-buffer-index", {"variant": "add", "half": size // 2})
-                )
+                added = f"{toks[inner[0]].text} + {size // 2}"
+                sites.append(MutationSite(BugType.BUF, inner, ((inner, added),)))
     return sites
 
 
@@ -534,79 +557,21 @@ def _span_bytes(stream: TokenStream, span: tuple[int, int]) -> tuple[int, int]:
     return stream.tokens[lo].byte_start, stream.tokens[hi - 1].byte_end
 
 
-def _rewrite_tokens(stream: TokenStream, span: tuple[int, int], replacements: dict[int, str]) -> str:
-    """Span text with some tokens replaced, original gaps preserved."""
-    lo, hi = span
-    out = []
-    pos = stream.tokens[lo].byte_start
-    for idx in range(lo, hi):
-        tok = stream.tokens[idx]
-        out.append(stream.source[pos:tok.byte_start])
-        out.append(replacements.get(idx, tok.text))
-        pos = tok.byte_end
-    return "".join(out)
-
-
 def inject(stream: TokenStream, site: MutationSite, seed: int) -> BugRecord:
-    """Apply `site`'s operator to the stream, returning a verified BugRecord.
+    """Apply one of `site`'s rewrites to the stream, returning a verified BugRecord.
 
-    `seed` resolves every choice among operator variants through its own
-    PRNG, so identical (stream, site, seed) triples give identical records.
+    `seed` draws the rewrite through its own PRNG, so identical
+    (stream, site, seed) triples give identical records.
     """
-    toks = stream.tokens
-    lo, hi = site.token_span
-    if hi > len(toks) or _span_bytes(stream, site.token_span)[1] > len(stream.source):
+    if site.token_span[1] > len(stream.tokens) or _span_bytes(stream, site.token_span)[1] > len(stream.source):
         raise ValueError("site does not belong to this stream")
     rng = random.Random(seed)
-    t = site.bug_type
-
-    if t is BugType.OOB:
-        span = site.token_span
-        if rng.random() < 0.5:
-            repl = {lo + 1: "<="}
-        else:
-            repl = {lo + 2: str(site.detail["bound_value"] + 1)}
-        buggy_text = _rewrite_tokens(stream, span, repl)
-    elif t is BugType.INIT:
-        span = site.token_span  # `name .. = expr`
-        eq = site.detail["eq_idx"]
-        # keep everything up to (not including) `=`: the name plus any array suffix
-        buggy_text = stream.source[toks[lo].byte_start:toks[eq - 1].byte_end]
-    elif t is BugType.SHFT:
-        span = site.token_span
-        amount = site.detail["width"] + rng.randint(1, 8)
-        buggy_text = str(amount)
-    elif t is BugType.INF:
-        variant = rng.choice(site.detail["variants"])
-        if variant == "invert":
-            idx = site.detail["rel_idx"]
-            span = (idx, idx + 1)
-            buggy_text = _INVERT[toks[idx].text]
-        else:
-            span = (site.detail["inc_semi"], site.detail["inc_end"])
-            buggy_text = ";"
-    elif t is BugType.USE:
-        span = site.token_span
-        buggy_text = "int"
-    elif t is BugType.MLU:
-        pos = rng.choice(site.detail["positions"])
-        neighbor = toks[site.detail["neighbor_lo"] + pos]
-        lit_idx = lo + pos
-        span = _index_expr_span(toks, lit_idx) or (lit_idx, lit_idx + 1)
-        buggy_text = _rewrite_tokens(stream, span, {lit_idx: neighbor.text})
-    elif t is BugType.ZERO:
-        span = site.token_span
-        buggy_text = "0"
-    elif t is BugType.BUF:
-        span = site.token_span
-        if site.detail["variant"] == "drop":
-            buggy_text = toks[lo].text
-        else:
-            buggy_text = f"{toks[lo].text} + {site.detail['half']}"
-    else:  # pragma: no cover
-        raise ValueError(f"unknown bug type {t}")
-
+    if site.bug_type is BugType.OOB:  # a coin, not `choice`: seeded corpora were built with it
+        span, buggy_text = site.rewrites[0 if rng.random() < 0.5 else 1]
+    else:
+        span, buggy_text = rng.choice(site.rewrites)
     a, b = _span_bytes(stream, span)
+    t = site.bug_type
     return splice_record(f"{t.value.lower()}-{a}-{b}-{seed & 0xFFFFFFFF:08x}", stream.source, a, b, buggy_text, t)
 
 
@@ -640,22 +605,6 @@ def splice_record(record_id: str, code: str, a: int, b: int, buggy_text: str, bu
     if not _verify_lexed(record, stream):
         raise ValueError(f"spliced record {record_id} is inconsistent")
     return record
-
-
-def _index_expr_span(tokens: Sequence[Token], idx: int) -> tuple[int, int] | None:
-    """Innermost `[ ... ]` content span containing token `idx`."""
-    depth = 0
-    for j in range(idx, -1, -1):
-        if tokens[j].text == "]":
-            depth += 1
-        elif tokens[j].text == "[":
-            if depth == 0:
-                close = _match_forward(tokens, j, "[", "]")
-                if close != -1 and close > idx:
-                    return (j + 1, close)
-                return None
-            depth -= 1
-    return None
 
 
 def verify_record(record: BugRecord) -> bool:

@@ -3,6 +3,7 @@ import functools
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -336,6 +337,31 @@ class TestCorruptModelFile:
         assert _run(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("hlsdbg: data error:") and err.count("\n") == 1
+
+
+class TestNonFiniteWeights:
+    """Weights that are NaN, inf or overflow give no scores: exit 2 and one stderr line, no warnings."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 1e300], ids=["nan", "inf", "1e300"])
+    @pytest.mark.parametrize("command", ["debug", "eval"])
+    def test_exits_two_with_one_line(self, tmp_path, model_path, records_path, value, command, capsys):
+        model = DebuggerModel.load(model_path)
+        for param in model.params.values():
+            param.data[...] = value
+        model.save(model_path)
+        source = tmp_path / "kernel.c"
+        source.write_text("int x = 1;\n")
+        if command == "debug":
+            argv = ["debug", str(source), "--model", str(model_path)]
+        else:
+            argv = ["eval", "--model", str(model_path), "--records", str(records_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("hlsdbg: data error:") and captured.err.count("\n") == 1
+        assert "non-finite" in captured.err
 
 
 def _assert_data_exit(argv, capsys):
@@ -716,3 +742,31 @@ def test_eval_debug_resume_exit_cleanly_on_any_model_bytes(name, mutation):
             code, err = _run_quiet(argv)
             assert code in allowed, (argv[0], err)
             assert code == 0 or err.count("\n") == 1, err
+
+
+# arbitrary `debug` sources as bytes: C-ish text with backslash-newlines, NUL
+# and non-ASCII characters, kernels with text spliced in, and raw bytes that
+# are mostly not UTF-8
+_debug_text = st.lists(
+    st.one_of(st.sampled_from(_SAMPLE_PIECES + ["\\\n", "\x00", "é²½"]), st.characters()), max_size=80
+).map("".join)
+debug_source = st.one_of(
+    st.one_of(_debug_text, spliced_kernel).map(lambda s: s.encode("utf-8", "surrogatepass")),
+    st.binary(max_size=80),
+    st.tuples(spliced_kernel, st.binary(min_size=1, max_size=4)).map(lambda t: t[0].encode() + t[1]),
+)
+
+
+@given(debug_source)
+@settings(max_examples=60, deadline=None)
+def test_debug_exits_zero_or_two_on_any_source(source):
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "model.bin").write_bytes(_fuzz_artifacts()["model.bin"])
+        (d / "kernel.c").write_bytes(source)
+        for out in ([], ["--out", d / "fixed.c"]):
+            code, err = _run_quiet(["debug", d / "kernel.c", "--model", d / "model.bin", *out])
+            assert code in (0, 2), err
+            if code == 2:
+                assert err.count("\n") == 1, err
+                assert sorted(p.name for p in d.iterdir()) == ["kernel.c", "model.bin"]

@@ -1,11 +1,15 @@
 import functools
 import json
+import runpy
+import shlex
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hlsdbg
 from hlsdbg.corpus import (
     DatasetManifest,
     Origin,
@@ -405,3 +409,17 @@ def test_manifest_round_trip_and_stability():
     assert DatasetManifest.from_json(text) == manifest
     assert manifest.to_json() == text  # byte-identical on re-serialization
     assert "time" not in text and "date" not in text
+
+
+def test_make_synth_corpus_manifest_records_version_and_invocation(tmp_path, monkeypatch):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "make_synth_corpus.py"
+    argv = ["--kernels", "4", "--per-sample", "2", "--seed", "3", "--held-out-ratio", "0.25",
+            "--out-dir", str(tmp_path / "corpus")]
+    monkeypatch.setattr(sys, "argv", [str(script), *argv])
+    monkeypatch.setattr(hlsdbg, "__version__", "9.9.9")  # not a literal the script could carry
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exit_info.value.code == 0
+    manifest = json.loads((tmp_path / "corpus" / "manifest.json").read_text())
+    assert manifest["version"] == "9.9.9"
+    assert manifest["command"] == "make_synth_corpus " + shlex.join(argv)

@@ -1,11 +1,15 @@
+import hashlib
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hlsdbg.corpus import write_jsonl
 from hlsdbg.lexer import lex
+from hlsdbg.llmgen import StubCompletionClient, generate_via_llm
 from hlsdbg.mutate import (
     BugRecord,
     BugType,
@@ -142,7 +146,7 @@ class TestINF:
     def test_while_loop_only_inverts(self):
         stream = lex("int i = 0;\nwhile (i < 4) i = i + 1;\n")
         (site,) = find_sites(stream, BugType.INF)
-        assert site.detail["variants"] == ["invert"]
+        assert [text for _, text in site.rewrites] == [">"]
         rec = inject(stream, site, 0)
         assert rec.snippet_buggy == ">"
 
@@ -176,7 +180,7 @@ class TestMLU:
         lo, hi = sites[0].token_span
         assert stream.tokens[lo].text == "d"
         assert stream.tokens[hi - 1].text == ";"
-        assert len(sites[0].detail["positions"]) == 2
+        assert len(sites[0].rewrites) == 2
 
     def test_copied_offset_not_updated(self):
         stream = lex(self.SRC)
@@ -218,12 +222,12 @@ class TestBUF:
 
     def test_literal_half_offset_dropped(self):
         stream = lex("int d[8];\nint k = 1;\nint j;\nj = d[k + 4];\n")
-        sites = [s for s in find_sites(stream, BugType.BUF) if s.detail["variant"] == "drop"]
+        sites = [s for s in find_sites(stream, BugType.BUF) if s.rewrites[0][1] == "k"]
         assert len(sites) == 1
 
     def test_offset_added_to_plain_index(self):
         stream = lex("int d[8];\nint k = 1;\nint j;\nj = d[k];\n")
-        sites = [s for s in find_sites(stream, BugType.BUF) if s.detail["variant"] == "add"]
+        sites = [s for s in find_sites(stream, BugType.BUF) if s.rewrites[0][1] == "k + 4"]
         assert len(sites) == 1
         rec = inject(stream, sites[0], 0)
         assert rec.snippet_correct == "k"
@@ -232,7 +236,7 @@ class TestBUF:
 
     def test_non_half_literal_is_not_dropped(self):
         stream = lex("int d[8];\nint k = 1;\nint j;\nj = d[k + 3];\n")
-        assert [s for s in find_sites(stream, BugType.BUF) if s.detail["variant"] == "drop"] == []
+        assert [s for s in find_sites(stream, BugType.BUF) if s.rewrites[0][1] == "k"] == []
 
 
 # --- record invariants ----------------------------------------------------------
@@ -282,9 +286,16 @@ def test_inject_rejects_foreign_site():
     stream = lex("int acc = 1;\n")
     other = lex("int a_very_much_longer_source = 1;\nint b = 2;\nint c = 3;\n")
     site = find_sites(other, BugType.ZERO)[0]
-    big_site = MutationSite(site.bug_type, (20, 21), site.context)
+    big_site = MutationSite(site.bug_type, (20, 21), site.rewrites)
     with pytest.raises(ValueError):
         inject(stream, big_site, 0)
+
+
+@pytest.mark.parametrize("span, rewrites", [((3, 3), (((3, 4), "0"),)), ((3, 4), ())],
+                         ids=["empty-span", "no-rewrite"])
+def test_site_needs_a_span_and_a_rewrite(span, rewrites):
+    with pytest.raises(ValueError):
+        MutationSite(BugType.ZERO, span, rewrites)
 
 
 def test_sites_are_sorted_by_position():
@@ -343,6 +354,40 @@ class TestGenerateCorpus:
     def test_rejects_nonpositive_per_sample(self):
         with pytest.raises(ValueError):
             generate_corpus([("a", "int x = 1;")], per_sample=0, seed=0)
+
+
+TOY_CORPUS = Path(__file__).resolve().parent.parent / "data" / "toy_corpus"
+
+
+def _toy_kernels():
+    return [(p.stem, p.read_text()) for p in sorted(TOY_CORPUS.glob("*.c"))]
+
+
+# SHA-256 of the JSONL each seeded build writes, and its record count: a
+# change to any operator, draw or serialization shows up as a new digest
+PINNED_CORPORA = {
+    "toy-x3-seed103": (
+        lambda: generate_corpus(_toy_kernels(), per_sample=3, seed=103).records,
+        "3feba86ce46a2c9b64ff4a256bfa18169e683348d83e20b296fdd978d96046a4", 33,
+    ),
+    "synth300-x4-seed9": (
+        lambda: generate_corpus(make_corpus(300, seed=7), per_sample=4, seed=9).records,
+        "7ec0fd343827b8dcae1a3e8daddf0f9c25aaa268797851d1c446c4929b72d640", 1200,
+    ),
+    "llm-stub-toy-seed4": (
+        lambda: generate_via_llm(_toy_kernels(), StubCompletionClient(seed=4)).records,
+        "38ec97af6cf5406e5f804a05a296b3ec731aaffff61676c45c61d388739d5a91", 11,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CORPORA))
+def test_seeded_corpus_bytes_are_pinned(tmp_path, name):
+    build, digest, n_records = PINNED_CORPORA[name]
+    records = build()
+    write_jsonl(records, tmp_path / "out.jsonl")
+    assert len(records) == n_records
+    assert hashlib.sha256((tmp_path / "out.jsonl").read_bytes()).hexdigest() == digest
 
 
 # --- synthetic kernels + whole-matrix properties ---------------------------------
