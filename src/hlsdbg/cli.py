@@ -168,7 +168,16 @@ def _train_setup(args):
     return cfg, weights, model_kw
 
 
+# run settings a checkpoint fixes; beside --resume they would be ignored
+_RESUME_FIXED = ("config", "batch_size", "lr", "seed", "checkpoint_every", "given_location_fraction", "model_seed")
+
+
 def _cmd_train(args, argv) -> int:
+    fixed = [f"--{key.replace('_', '-')}" for key in _RESUME_FIXED if getattr(args, key) is not None]
+    if args.resume and fixed:
+        print(f"hlsdbg train: error: --resume takes its settings from the checkpoint, not {' '.join(fixed)}",
+              file=sys.stderr)
+        return USAGE_EXIT
     records = read_jsonl(args.records)
     if not records:
         raise DataError(f"no records in {args.records}")
@@ -182,7 +191,7 @@ def _cmd_train(args, argv) -> int:
         notes = [f"resumed from {args.resume}"]
     else:
         cfg, weights, model_kw = _train_setup(args)
-        model = _fresh_model(records, model_kw, args.model_seed)
+        model = _fresh_model(records, model_kw, args.model_seed or 0)
         result = train(model, records, cfg, weights=weights, out_dir=out_dir)
         seed_used = cfg.seed
         notes = []
@@ -352,7 +361,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--checkpoint-every", type=int, default=None)
     p.add_argument("--given-location-fraction", type=float, default=None)
-    p.add_argument("--model-seed", type=int, default=0)
+    p.add_argument("--model-seed", type=int, default=None, help="weight-init seed of a fresh model (default 0)")
     p.set_defaults(fn=_cmd_train)
 
     p = sub.add_parser("eval", help="score a model against labeled records")

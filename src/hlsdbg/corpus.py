@@ -11,7 +11,7 @@ import enum
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -387,24 +387,4 @@ class DatasetManifest:
     notes: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
-        payload = {
-            "version": self.version,
-            "command": self.command,
-            "seed": self.seed,
-            "counts": self.counts,
-            "histogram": self.histogram,
-            "notes": self.notes,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-    @staticmethod
-    def from_json(text: str) -> "DatasetManifest":
-        payload = json.loads(text)
-        return DatasetManifest(
-            version=payload["version"],
-            command=payload["command"],
-            seed=payload["seed"],
-            counts=payload["counts"],
-            histogram=payload["histogram"],
-            notes=payload.get("notes", []),
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"

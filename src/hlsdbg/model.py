@@ -456,9 +456,10 @@ class DebuggerModel:
 
     # --- persistence ------------------------------------------------------------------
 
-    def save(self, path: str | Path) -> None:
-        meta = {"config": asdict(self.config), "vocab": self.vocab.id_to_token}
-        save_tensors(path, {k: p.data for k, p in self.params.items()}, meta=meta)
+    def save(self, path: str | Path, tensors: dict | None = None, meta: dict | None = None) -> None:
+        """Write the model file; a checkpoint adds its own `tensors` and `meta`."""
+        meta = {"config": asdict(self.config), "vocab": self.vocab.id_to_token, **(meta or {})}
+        save_tensors(path, {**{k: p.data for k, p in self.params.items()}, **(tensors or {})}, meta=meta)
 
     @classmethod
     def load(cls, path: str | Path) -> "DebuggerModel":

@@ -4,9 +4,10 @@ Per step, the encoder loss combines the type head's cross entropy and the
 token head's weighted binary cross entropy; the decoder adds teacher-forced
 next-token cross entropy over the correct snippet. The three parts are
 scaled and summed into one objective. Training order, the given-location
-coin flips, and therefore the loss curve are a pure function of the seed;
-checkpoints carry optimizer and RNG state so a resumed run reproduces the
-uninterrupted curve bit for bit.
+coin flips, and therefore the loss curve are a pure function of the seed.
+A run advances one `TrainState` and a checkpoint holds one, optimizer and
+RNG state included, so a resumed run reproduces the uninterrupted curve bit
+for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .lexer import lex
 from .model import BUG_TYPE_INDEX, DebuggerModel, ModelConfig, Vocab, bracket, dataclass_from_meta, label_span
 from .mutate import BugRecord
 from .optim import AdamState, adam_step, clip_global_norm
-from .tensorstore import load_tensors, save_tensors
+from .tensorstore import load_tensors
 
 CURVE_HEADER = ("step", "L_type", "L_bug", "L_decoder", "L_all")
 
@@ -103,25 +104,22 @@ def loss_type(logits: Tensor, labels: np.ndarray) -> Tensor:
     return ad.neg(ad.mean(picked))
 
 
-def bug_weights(labels: np.ndarray, mask: np.ndarray, weights: LossWeights) -> np.ndarray:
-    """Per-position bug-loss weight: `alpha_true` flagged, `alpha_false` not, 0 padding."""
-    return (labels * weights.alpha_true + (1.0 - labels) * weights.alpha_false) * mask
-
-
 def loss_bug(logits: Tensor, labels: np.ndarray, mask: np.ndarray, weights: LossWeights) -> Tensor:
     """Weighted binary cross entropy over real token positions.
 
     Positive positions weigh `alpha_true`, negatives `alpha_false`; the sum
-    is pooled across the whole batch by total weight.
+    is pooled across the whole batch by total weight. A batch in which no
+    position weighs anything (`alpha_false = 0` and no flagged token, or
+    `alpha_true = 0` and only flagged ones) has a zero term.
     """
     y = np.asarray(labels, dtype=logits.dtype)
     m = np.asarray(mask, dtype=logits.dtype)
     if m.sum() == 0:
         raise ValueError("bug loss over an all-padding batch")
-    w = bug_weights(y, m, weights)
+    w = (y * weights.alpha_true + (1.0 - y) * weights.alpha_false) * m
     wsum = float(w.sum())
     if wsum == 0:
-        raise ValueError("bug loss weights sum to zero")
+        return ad.scale(ad.sum_(logits), 0.0)
     elem = ad.sub(ad.softplus(logits), ad.mul(logits, Tensor(y)))
     return ad.scale(ad.sum_(ad.mul(elem, Tensor(w))), 1.0 / wsum)
 
@@ -231,13 +229,24 @@ class TrainResult:
     checkpoints: list[Path] = field(default_factory=list)
 
 
-def write_curve_csv(path: str | Path, curve: Sequence[CurveRow], append: bool = False) -> None:
-    mode = "a" if append and Path(path).exists() else "w"
-    with open(path, mode, newline="", encoding="utf-8") as fh:
+@dataclass
+class TrainState:
+    """What a run advances and what a checkpoint holds."""
+
+    model: DebuggerModel
+    cfg: TrainConfig
+    weights: LossWeights
+    rng: random.Random
+    adam: AdamState = field(default_factory=AdamState)
+    epoch: int = 0  # the next epoch to run
+    step: int = 0  # optimizer steps taken
+
+
+def write_curve_csv(path: str | Path, rows: Sequence[CurveRow]) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        if mode == "w":
-            writer.writerow(CURVE_HEADER)
-        for row in curve:
+        writer.writerow(CURVE_HEADER)
+        for row in rows:
             writer.writerow([row.step, row.l_type, row.l_bug, row.l_decoder, row.l_all])
 
 
@@ -245,44 +254,31 @@ def read_curve_csv(path: str | Path) -> list[CurveRow]:
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != CURVE_HEADER:
-            raise DataError(f"unexpected curve header {header!r}")
+        header = next(reader, None)
+        if header is None or tuple(header) != CURVE_HEADER:
+            raise DataError(f"unexpected curve header {header!r} in {path}")
         for rec in reader:
-            rows.append(CurveRow(int(rec[0]), *(float(v) for v in rec[1:])))
+            try:
+                rows.append(CurveRow(int(rec[0]), *(float(v) for v in rec[1:])))
+            except (TypeError, ValueError):
+                raise DataError(f"malformed curve row {rec!r} in {path}") from None
     return rows
 
 
-def save_checkpoint(
-    path: str | Path,
-    model: DebuggerModel,
-    state: AdamState,
-    rng: random.Random,
-    next_epoch: int,
-    step: int,
-    cfg: TrainConfig,
-    weights: LossWeights,
-) -> None:
-    tensors = {name: p.data for name, p in model.params.items()}
-    for name, m in state.m.items():
-        tensors[f"adam.m.{name}"] = m
-    for name, v in state.v.items():
-        tensors[f"adam.v.{name}"] = v
-    meta = {
-        "config": asdict(model.config),
-        "vocab": model.vocab.id_to_token,
-        "train_config": asdict(cfg),
-        "loss_weights": asdict(weights),
-        "adam_t": state.t,
-        "next_epoch": next_epoch,
-        "step": step,
-        "rng_state": json.loads(json.dumps(rng.getstate())),
-    }
-    save_tensors(path, tensors, meta=meta)
+def save_checkpoint(path: str | Path, state: TrainState) -> None:
+    moments = {f"adam.{which}.{name}": arr for which, arrays in (("m", state.adam.m), ("v", state.adam.v))
+               for name, arr in arrays.items()}
+    state.model.save(path, moments, {
+        "train_config": asdict(state.cfg),
+        "loss_weights": asdict(state.weights),
+        "adam_t": state.adam.t,
+        "next_epoch": state.epoch,
+        "step": state.step,
+        "rng_state": json.loads(json.dumps(state.rng.getstate())),
+    })
 
 
-def load_checkpoint(path: str | Path):
-    """(model, adam state, rng, next_epoch, step, train config, loss weights)."""
+def load_checkpoint(path: str | Path) -> TrainState:
     tensors, meta = load_tensors(path)
     for key in ("config", "vocab", "train_config", "loss_weights", "adam_t", "next_epoch", "step", "rng_state"):
         if key not in meta:
@@ -291,14 +287,18 @@ def load_checkpoint(path: str | Path):
         if type(meta[key]) is not int or meta[key] < 0:
             raise DataError(f"checkpoint {path} has {key} = {meta[key]!r}, not a non-negative int")
     model = DebuggerModel.restore(meta, tensors, path)
-    state = AdamState(t=meta["adam_t"])
+    adam = AdamState(t=meta["adam_t"])
     for name, p in model.params.items():
-        moments = [tensors.get(f"adam.{which}.{name}") for which in ("m", "v")]
-        if all(t is None for t in moments):
+        m, v = (tensors.get(f"adam.{which}.{name}") for which in ("m", "v"))
+        if m is None and v is None:
             continue
-        if any(t is None or t.shape != p.shape for t in moments):
+        if m is None or v is None or m.shape != p.shape or v.shape != p.shape:
             raise DataError(f"checkpoint {path} has bad Adam moments for {name!r}")
-        state.m[name], state.v[name] = (t.astype(p.dtype, copy=False) for t in moments)
+        m, v = m.astype(p.dtype, copy=False), v.astype(p.dtype, copy=False)
+        # a non-finite moment, or a negative second one, turns Adam's update into NaN
+        if not (np.isfinite(m).all() and np.isfinite(v).all() and (v >= 0).all()):
+            raise DataError(f"checkpoint {path} has non-finite or negative Adam moments for {name!r}")
+        adam.m[name], adam.v[name] = m, v
     rng = random.Random()
     try:
         version, internal, gauss = meta["rng_state"]
@@ -307,7 +307,7 @@ def load_checkpoint(path: str | Path):
         raise DataError(f"checkpoint {path} has a malformed rng_state") from None
     cfg = dataclass_from_meta(TrainConfig, meta["train_config"], "train config", path)
     weights = dataclass_from_meta(LossWeights, meta["loss_weights"], "loss weights", path)
-    return model, state, rng, meta["next_epoch"], meta["step"], cfg, weights
+    return TrainState(model, cfg, weights, rng, adam, meta["next_epoch"], meta["step"])
 
 
 # --- the trainer ---------------------------------------------------------------------
@@ -321,9 +321,8 @@ def train(
     out_dir: str | Path | None = None,
     stop_fn: Callable[[int, DebuggerModel], bool] | None = None,
 ) -> TrainResult:
-    weights = weights or LossWeights()
-    rng = random.Random(cfg.seed)
-    return _run(model, records, cfg, weights, AdamState(), rng, 0, 0, out_dir, stop_fn, append_curve=False)
+    state = TrainState(model, cfg, weights or LossWeights(), random.Random(cfg.seed))
+    return _run(state, records, out_dir, stop_fn)
 
 
 def resume(
@@ -334,42 +333,39 @@ def resume(
     epochs: int | None = None,
 ) -> tuple[DebuggerModel, TrainResult]:
     """Continue a checkpointed run; the curve picks up where it left off."""
-    model, state, rng, next_epoch, step, cfg, weights = load_checkpoint(checkpoint)
+    state = load_checkpoint(checkpoint)
     if epochs is not None:
-        cfg.epochs = epochs
-    if cfg.epochs <= next_epoch:
-        raise DataError(f"checkpoint {checkpoint} ends at epoch {next_epoch}; epochs = {cfg.epochs} adds none")
-    result = _run(model, records, cfg, weights, state, rng, next_epoch, step, out_dir, stop_fn, append_curve=True)
-    return model, result
+        state.cfg.epochs = epochs
+    if state.cfg.epochs <= state.epoch:
+        raise DataError(
+            f"checkpoint {checkpoint} ends at epoch {state.epoch}; epochs = {state.cfg.epochs} adds none"
+        )
+    return state.model, _run(state, records, out_dir, stop_fn)
 
 
-def _run(
-    model: DebuggerModel,
-    records: Sequence[BugRecord],
-    cfg: TrainConfig,
-    weights: LossWeights,
-    state: AdamState,
-    rng: random.Random,
-    start_epoch: int,
-    step: int,
-    out_dir: str | Path | None,
-    stop_fn,
-    append_curve: bool,
-) -> TrainResult:
+def _run(state: TrainState, records: Sequence[BugRecord], out_dir: str | Path | None, stop_fn) -> TrainResult:
+    """Advance `state` to `cfg.epochs`.
+
+    A run from step k > 0 keeps rows 1..k of `out_dir/curve.csv`, so resuming
+    into a checkpoint's own directory gives the uninterrupted run's curve.
+    """
     if not records:
         raise ValueError("no training records")
+    model, cfg, weights = state.model, state.cfg, state.weights
     out_path = Path(out_dir) if out_dir is not None else None
+    kept: list[CurveRow] = []  # the rows before this run's first step
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
+        if state.step > 0 and (out_path / "curve.csv").exists():
+            kept = [row for row in read_curve_csv(out_path / "curve.csv") if row.step <= state.step]
     curve: list[CurveRow] = []
     checkpoints: list[Path] = []
     n_truncated = 0
     stopped = False
-    final_epoch = start_epoch - 1
-    for epoch in range(start_epoch, cfg.epochs):
+    for epoch in range(state.epoch, cfg.epochs):
         order = list(range(len(records)))
-        rng.shuffle(order)
-        givens = [rng.random() < cfg.given_location_fraction for _ in order]
+        state.rng.shuffle(order)
+        givens = [state.rng.random() < cfg.given_location_fraction for _ in order]
         for at in range(0, len(order), cfg.batch_size):
             chunk = order[at : at + cfg.batch_size]
             batch = _build_batch(
@@ -382,14 +378,7 @@ def _run(
                     batch, enc.token_counts, enc.e_tokens.shape[1], model.config.np_dtype
                 )
                 l_t = loss_type(model.type_logits(enc), batch.type_labels)
-                bug_logits = model.bug_logits(enc)
-                # No position weighs anything when alpha_false = 0 and no flagged
-                # token is left after truncation, or alpha_true = 0 and every
-                # token is flagged: the batch's bug term is then zero.
-                if bug_weights(labels, mask, weights).any():
-                    l_b = loss_bug(bug_logits, labels, mask, weights)
-                else:
-                    l_b = ad.scale(ad.sum_(bug_logits), 0.0)
+                l_b = loss_bug(model.bug_logits(enc), labels, mask, weights)
                 l_d = loss_decoder(
                     model.decoder_logits(enc, batch.tgt_in, batch.tgt_keep),
                     batch.tgt_out,
@@ -400,34 +389,24 @@ def _run(
             backward(tape, combined)
             if cfg.clip_norm > 0:
                 clip_global_norm(model.params, cfg.clip_norm)
-            adam_step(model.params, state, lr_at(cfg, epoch))
+            adam_step(model.params, state.adam, lr_at(cfg, epoch))
             for p in model.params.values():
                 p.zero_grad()
-            step += 1
+            state.step += 1
             curve.append(
-                CurveRow(step, float(l_t.data), float(l_b.data), float(l_d.data), float(combined.data))
+                CurveRow(state.step, float(l_t.data), float(l_b.data), float(l_d.data), float(combined.data))
             )
-        final_epoch = epoch
-        if (
-            out_path is not None
-            and cfg.checkpoint_every > 0
-            and (epoch + 1) % cfg.checkpoint_every == 0
-        ):
-            ckpt = out_path / f"checkpoint_{epoch + 1:05d}.bin"
-            save_checkpoint(ckpt, model, state, rng, epoch + 1, step, cfg, weights)
+        state.epoch = epoch + 1
+        if out_path is not None and cfg.checkpoint_every > 0 and state.epoch % cfg.checkpoint_every == 0:
+            ckpt = out_path / f"checkpoint_{state.epoch:05d}.bin"
+            save_checkpoint(ckpt, state)
             checkpoints.append(ckpt)
         if stop_fn is not None and stop_fn(epoch, model):
             stopped = True
             break
     if out_path is not None:
-        write_curve_csv(out_path / "curve.csv", curve, append=append_curve)
-    return TrainResult(
-        curve=curve,
-        final_epoch=final_epoch,
-        stopped_early=stopped,
-        n_truncated=n_truncated,
-        checkpoints=checkpoints,
-    )
+        write_curve_csv(out_path / "curve.csv", kept + curve)
+    return TrainResult(curve, state.epoch - 1, stopped, n_truncated, checkpoints)
 
 
 # --- config files ----------------------------------------------------------------------

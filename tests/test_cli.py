@@ -484,6 +484,66 @@ class TestResumeChecks:
         _assert_data_exit(argv, capsys)
 
 
+    @pytest.mark.parametrize("which, value", [
+        ("v", -1.0), ("v", float("nan")), ("v", float("inf")), ("m", float("nan")),
+    ])
+    def test_unusable_adam_moments(self, tmp_path, records_path, checkpoint_path, which, value, capsys):
+        from hlsdbg.tensorstore import load_tensors, save_tensors
+
+        tensors, meta = load_tensors(checkpoint_path)
+        for name, arr in tensors.items():
+            if name.startswith(f"adam.{which}."):
+                arr[...] = value
+        save_tensors(checkpoint_path, tensors, meta=meta)
+        run = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _assert_data_exit(["train", "--records", records_path, "--out-dir", run,
+                               "--resume", checkpoint_path, "--epochs", "2"], capsys)
+        assert not (run / "model.bin").exists()
+
+    @pytest.mark.parametrize("text", [
+        "", "step,L_type\n", "step,L_type,L_bug,L_decoder,L_all\n1,x,0,0,0\n",
+        "step,L_type,L_bug,L_decoder,L_all\n1,2\n",
+    ], ids=["empty", "header", "value", "short-row"])
+    def test_malformed_curve_in_resume_dir(self, records_path, checkpoint_path, text, capsys):
+        run = checkpoint_path.parent
+        (run / "curve.csv").write_text(text)
+        _assert_data_exit(["train", "--records", records_path, "--out-dir", run,
+                           "--resume", checkpoint_path, "--epochs", "2"], capsys)
+        assert not (run / "checkpoint_00002.bin").exists()  # rejected before training
+        assert (run / "curve.csv").read_text() == text
+
+
+class TestResumeFlags:
+    """A run setting beside --resume would be ignored, so it is a usage error: exit 1, one stderr line."""
+
+    @pytest.mark.parametrize("flag", [
+        ["--config", "/nonexistent.cfg"], ["--batch-size", "1"], ["--lr", "5"], ["--seed", "4"],
+        ["--checkpoint-every", "1"], ["--given-location-fraction", "0.5"], ["--model-seed", "0"],
+    ], ids=lambda flag: flag[0])
+    def test_setting_with_resume_is_usage_error(self, tmp_path, records_path, checkpoint_path, flag, capsys):
+        run = tmp_path / "run"
+        argv = ["train", "--records", records_path, "--out-dir", run, "--resume", checkpoint_path,
+                "--epochs", "2", *flag]
+        assert _run([str(a) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("hlsdbg train: error:") and captured.err.count("\n") == 1
+        assert flag[0] in captured.err
+        assert not run.exists()
+
+    def test_model_seed_defaults_to_zero(self, tmp_path, records_path):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_CONFIG.replace("epochs = 2", "epochs = 1"))
+        runs = {}
+        for name, extra in (("default", []), ("zero", ["--model-seed", "0"])):
+            runs[name] = tmp_path / name
+            assert _run([str(a) for a in ["train", "--records", records_path, "--out-dir", runs[name],
+                                          "--config", cfg, *extra]]) == 0
+        assert (runs["default"] / "model.bin").read_bytes() == (runs["zero"] / "model.bin").read_bytes()
+
+
 class TestGenLlm:
     def test_stub_generation(self, tmp_path):
         out = tmp_path / "llm.jsonl"

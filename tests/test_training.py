@@ -121,10 +121,13 @@ class TestLossBug:
         with pytest.raises(ValueError):
             loss_bug(_t(np.zeros((1, 3))), np.zeros((1, 3)), np.zeros((1, 3)), self.W)
 
-    def test_positive_only_batch_with_zero_alpha_true_rejected(self):
-        w = LossWeights(alpha_true=0.0)
-        with pytest.raises(ValueError):
-            loss_bug(_t(np.zeros((1, 2))), np.ones((1, 2)), np.ones((1, 2)), w)
+    def test_positive_only_batch_with_zero_alpha_true_is_zero(self):
+        logits = _t(np.array([[0.3, -2.0]]))
+        with Tape() as tape:
+            loss = loss_bug(logits, np.ones((1, 2)), np.ones((1, 2)), LossWeights(alpha_true=0.0))
+        backward(tape, loss)
+        assert loss.item() == 0.0
+        assert np.array_equal(logits.grad, np.zeros((1, 2)))
 
 
 class TestLossDecoder:
@@ -320,6 +323,15 @@ class TestTrain:
         for a, b in zip(stitched, full.curve):
             assert a == b  # bit-for-bit float equality
 
+    def test_resume_into_same_dir_rewrites_curve(self, vocab, records, tmp_path):
+        cfg = TrainConfig(epochs=4, batch_size=2, lr=1e-3, seed=11, checkpoint_every=1)
+        full = train(_tiny_model(vocab, seed=7), records[:4], cfg, out_dir=tmp_path / "full")
+        run = tmp_path / "run"
+        first = train(_tiny_model(vocab, seed=7), records[:4], dataclasses.replace(cfg, epochs=3), out_dir=run)
+        resume(first.checkpoints[1], records[:4], out_dir=run, epochs=4)  # from epoch 2 of 3
+        assert [r.step for r in read_curve_csv(run / "curve.csv")] == list(range(1, len(full.curve) + 1))
+        assert (run / "curve.csv").read_bytes() == (tmp_path / "full" / "curve.csv").read_bytes()
+
     def test_resumed_model_matches_full_run_weights(self, vocab, records, tmp_path):
         cfg_full = TrainConfig(epochs=2, batch_size=4, lr=1e-3, seed=13, checkpoint_every=1)
         model_full = _tiny_model(vocab, seed=8)
@@ -335,17 +347,18 @@ class TestTrain:
         model = _tiny_model(vocab, seed=9)
         cfg = TrainConfig(epochs=1, batch_size=4, lr=1e-3, seed=3, checkpoint_every=1)
         result = train(model, records[:4], cfg, out_dir=tmp_path)
-        loaded, state, rng, next_epoch, step, cfg2, weights = load_checkpoint(result.checkpoints[0])
-        assert next_epoch == 1
-        assert step == len(result.curve)
-        assert state.t == step
-        assert cfg2 == cfg
-        assert weights == LossWeights()
+        state = load_checkpoint(result.checkpoints[0])
+        assert state.epoch == 1
+        assert state.step == len(result.curve)
+        assert state.adam.t == state.step
+        assert state.cfg == cfg
+        assert state.weights == LossWeights()
         for k in model.params:
-            assert np.array_equal(loaded.params[k].data, model.params[k].data)
-            assert loaded.params[k].data.flags.writeable  # Adam updates in place on resume
-        assert state.m.keys() == model.params.keys()
-        assert all(m.flags.writeable and v.flags.writeable for m, v in zip(state.m.values(), state.v.values()))
+            assert np.array_equal(state.model.params[k].data, model.params[k].data)
+            assert state.model.params[k].data.flags.writeable  # Adam updates in place on resume
+        adam = state.adam
+        assert adam.m.keys() == model.params.keys()
+        assert all(m.flags.writeable and v.flags.writeable for m, v in zip(adam.m.values(), adam.v.values()))
 
     @pytest.mark.parametrize("edit", [
         *(lambda meta, key=key: meta.pop(key) for key in ("adam_t", "rng_state", "loss_weights", "step")),
