@@ -250,7 +250,7 @@ def _cmd_debug(args, argv) -> int:
         raise DataError(f"{args.source}: no tokens to score")
 
     per_line = line_scores(probs, pred.stream)
-    source_lines = code.splitlines()
+    source_lines = code.split("\n")
     print(f"debug: {args.source} ({probs.shape[0]} tokens scored)")
     for line in rank_lines(per_line)[: args.top]:
         text = source_lines[line - 1].strip() if line - 1 < len(source_lines) else ""

@@ -136,10 +136,11 @@ class StubCompletionClient:
             stream = lex(code)
         except DataError:
             return "NO BUG POSSIBLE"
+        by_type = find_sites(stream)
         types = list(BugType)
         start = rng.randrange(len(types))
         for t in types[start:] + types[:start]:
-            sites = find_sites(stream, t)
+            sites = by_type[t]
             if not sites:
                 continue
             site = sites[rng.randrange(len(sites))]

@@ -1,8 +1,9 @@
 """Deterministic logic-bug injection for C-like HLS sources.
 
 Eight mutation operators produce exactly-labeled supervised records from
-correct code. Each operator is one finder: a pattern scan over the token
-stream (no parsing) that yields sites carrying their candidate rewrites,
+correct code. Each operator is one finder: a pattern match over one shared
+structural scan of the token stream (bracket partners, declarations, loop
+headers; no parsing) that yields sites carrying their candidate rewrites,
 each a token span and its replacement text. Injection draws one rewrite
 with a seeded PRNG, splices it in, re-lexes, and derives token/line labels
 from the byte span of the buggy snippet. Everything is a pure function of
@@ -15,10 +16,11 @@ import enum
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import accumulate, repeat
 from typing import Iterable, Sequence
 
 from .errors import DataError
-from .lexer import Token, TokenKind, TokenStream, lex, lines_of_tokens, tokens_in_byte_range
+from .lexer import TokenKind, TokenStream, lex, lines_of_tokens, tokens_in_byte_range
 
 
 class BugType(enum.Enum):
@@ -66,39 +68,14 @@ class BugRecord:
     extra: dict = field(default_factory=dict)
 
 
-# --- structural scan helpers -------------------------------------------------
-
-
-def _match_forward(tokens: Sequence[Token], i: int, open_: str, close: str) -> int:
-    """Index of the token closing the bracket opened at `i`; -1 if unbalanced."""
-    depth = 0
-    for j in range(i, len(tokens)):
-        t = tokens[j].text
-        if t == open_:
-            depth += 1
-        elif t == close:
-            depth -= 1
-            if depth == 0:
-                return j
-    return -1
-
-
-def _body_extent(tokens: Sequence[Token], close_paren: int) -> int:
-    """Last token index (inclusive) of the loop body following a `)` token."""
-    j = close_paren + 1
-    while j < len(tokens) and tokens[j].kind in (TokenKind.COMMENT, TokenKind.PRAGMA):
-        j += 1
-    if j >= len(tokens):
-        return close_paren
-    if tokens[j].text == "{":
-        end = _match_forward(tokens, j, "{", "}")
-        return end if end != -1 else len(tokens) - 1
-    while j < len(tokens) and tokens[j].text != ";":
-        j += 1
-    return min(j, len(tokens) - 1)
+# --- the structural scan ------------------------------------------------------
 
 
 _TYPE_KEYWORDS = frozenset("int unsigned signed long short char float double bool".split())
+_OPENERS = frozenset("([{")
+_OPENER_OF = {")": "(", "]": "[", "}": "{"}
+_PAREN_STEP = {"(": 1, ")": -1}
+_SQUARE_STEP = {"[": 1, "]": -1}
 
 
 def _int_value(text: str) -> int | None:
@@ -120,242 +97,230 @@ class _Decl:
     stmt_end: int  # index of terminating `;`
 
 
-def _scan_declarations(tokens: Sequence[Token]) -> list[_Decl]:
-    """Collect simple declarations: `type-words name [N]? (= expr)? ;`.
-
-    Only the first declarator of a statement is considered; that is enough
-    for the pattern operators and keeps the scan unambiguous.
-    """
-    decls: list[_Decl] = []
-    i = 0
-    n = len(tokens)
-    while i < n:
-        if tokens[i].kind is not TokenKind.KEYWORD or tokens[i].text not in _TYPE_KEYWORDS:
-            i += 1
-            continue
-        j = i
-        words = []
-        while j < n and tokens[j].kind is TokenKind.KEYWORD and tokens[j].text in _TYPE_KEYWORDS:
-            words.append(tokens[j].text)
-            j += 1
-        if j >= n or tokens[j].kind is not TokenKind.IDENTIFIER:
-            i = j + 1
-            continue
-        name_idx = j
-        name = tokens[j].text
-        j += 1
-        array_size = None
-        if j + 2 < n and tokens[j].text == "[":
-            if tokens[j + 1].kind is TokenKind.NUMBER and tokens[j + 2].text == "]":
-                array_size = _int_value(tokens[j + 1].text)
-                j += 3
-            else:
-                close = _match_forward(tokens, j, "[", "]")
-                if close == -1:
-                    i = j + 1
-                    continue
-                j = close + 1
-        init_span = None
-        init_eq = None
-        if j < n and tokens[j].text == "=":
-            eq = j
-            k = j + 1
-            while k < n and tokens[k].text not in (";", ","):
-                if tokens[k].text in ("(", "[", "{"):
-                    close = _match_forward(tokens, k, tokens[k].text, {"(": ")", "[": "]", "{": "}"}[tokens[k].text])
-                    if close == -1:
-                        break
-                    k = close
-                k += 1
-            if k > j + 1:
-                init_span = (name_idx, k)
-                init_eq = eq
-                j = k
-        # find the end of the statement (function headers have no `;` before `{`)
-        end = j
-        while end < n and tokens[end].text not in (";", "{", "}"):
-            end += 1
-        if end < n and tokens[end].text == ";":
-            decls.append(_Decl(name, name_idx, tuple(words), array_size, init_span, init_eq, end))
-        i = end + 1
-    return decls
-
-
 @dataclass(frozen=True)
 class _LoopHeader:
-    keyword_idx: int
-    open_paren: int
     close_paren: int
     cond_span: tuple[int, int]  # half-open token span of the condition
     inc_span: tuple[int, int] | None  # for-loops: span after 2nd `;` (may be empty -> None)
     body_end: int
 
 
-def _scan_loop_headers(tokens: Sequence[Token]) -> list[_LoopHeader]:
-    loops = []
-    for i, tok in enumerate(tokens):
-        if tok.kind is not TokenKind.KEYWORD or tok.text not in ("for", "while"):
-            continue
-        if i + 1 >= len(tokens) or tokens[i + 1].text != "(":
-            continue
-        op = i + 1
-        cp = _match_forward(tokens, op, "(", ")")
-        if cp == -1:
-            continue
-        if tok.text == "while":
-            if cp == op + 1:
+class _Scan:
+    """The structure every finder reads, derived once per stream.
+
+    One stack pass pairs each bracket with its same-kind partner (-1 when
+    unmatched) and records the innermost `[` open at each token; the running
+    `(` and `[` depths are prefix counts (`depth[j] - depth[i]` is the net
+    count over tokens i..j-1). Declarations and loop headers are found once.
+    """
+
+    def __init__(self, stream: TokenStream):
+        self.stream = stream
+        self.texts = texts = [t.text for t in stream.tokens]
+        self.kinds = kinds = [t.kind for t in stream.tokens]
+        n = len(texts)
+        self.partner = partner = [-1] * n
+        self.square_open = square_open = [-1] * n
+        self.last_read: dict[str, int] = {}  # each identifier's last index not followed by `=`
+        stacks: dict[str, list[int]] = {"(": [], "[": [], "{": []}
+        squares = stacks["["]
+        for i, t in enumerate(texts):
+            if squares:
+                square_open[i] = squares[-1]
+            if t in _OPENERS:
+                stacks[t].append(i)
+            elif t in _OPENER_OF:
+                opened = stacks[_OPENER_OF[t]]
+                if opened:
+                    j = opened.pop()
+                    partner[i], partner[j] = j, i
+            elif kinds[i] is TokenKind.IDENTIFIER and (i + 1 == n or texts[i + 1] != "="):
+                self.last_read[t] = i
+        self.paren_depth = list(accumulate(map(_PAREN_STEP.get, texts, repeat(0)), initial=0))
+        self.square_depth = list(accumulate(map(_SQUARE_STEP.get, texts, repeat(0)), initial=0))
+        self.decls = self._declarations()
+        self.arrays = {d.name: d.array_size for d in self.decls if d.array_size is not None}
+        self.loops = self._loop_headers()
+
+    def _declarations(self) -> list[_Decl]:
+        """Simple declarations: `type-words name [N]? (= expr)? ;`.
+
+        Only the first declarator of a statement is considered; that is enough
+        for the pattern operators and keeps the scan unambiguous.
+        """
+        texts, kinds, partner = self.texts, self.kinds, self.partner
+        decls: list[_Decl] = []
+        i = 0
+        n = len(texts)
+        while i < n:
+            if kinds[i] is not TokenKind.KEYWORD or texts[i] not in _TYPE_KEYWORDS:
+                i += 1
                 continue
-            loops.append(_LoopHeader(i, op, cp, (op + 1, cp), None, _body_extent(tokens, cp)))
-            continue
-        semis = [j for j in range(op + 1, cp) if tokens[j].text == ";" and _depth_ok(tokens, op, j)]
-        if len(semis) != 2:
-            continue
-        cond = (semis[0] + 1, semis[1])
-        inc = (semis[1] + 1, cp) if semis[1] + 1 < cp else None
-        if cond[1] <= cond[0]:
-            continue
-        loops.append(_LoopHeader(i, op, cp, cond, inc, _body_extent(tokens, cp)))
-    return loops
+            j = i
+            while j < n and kinds[j] is TokenKind.KEYWORD and texts[j] in _TYPE_KEYWORDS:
+                j += 1
+            words = tuple(texts[i:j])
+            if j >= n or kinds[j] is not TokenKind.IDENTIFIER:
+                i = j + 1
+                continue
+            name_idx = j
+            j += 1
+            array_size = None
+            if j + 2 < n and texts[j] == "[":
+                if kinds[j + 1] is TokenKind.NUMBER and texts[j + 2] == "]":
+                    array_size = _int_value(texts[j + 1])
+                    j += 3
+                elif partner[j] == -1:
+                    i = j + 1
+                    continue
+                else:
+                    j = partner[j] + 1
+            init_span = None
+            init_eq = None
+            if j < n and texts[j] == "=":
+                k = j + 1
+                while k < n and texts[k] not in (";", ","):
+                    if texts[k] in _OPENERS:
+                        if partner[k] == -1:
+                            break
+                        k = partner[k]
+                    k += 1
+                if k > j + 1:
+                    init_span = (name_idx, k)
+                    init_eq = j
+                    j = k
+            # find the end of the statement (function headers have no `;` before `{`)
+            end = j
+            while end < n and texts[end] not in (";", "{", "}"):
+                end += 1
+            if end < n and texts[end] == ";":
+                decls.append(_Decl(texts[name_idx], name_idx, words, array_size, init_span, init_eq, end))
+            i = end + 1
+        return decls
 
+    def _loop_headers(self) -> list[_LoopHeader]:
+        texts, depth = self.texts, self.paren_depth
+        loops = []
+        for i, t in enumerate(texts[:-1]):
+            if t not in ("for", "while") or self.kinds[i] is not TokenKind.KEYWORD or texts[i + 1] != "(":
+                continue
+            op = i + 1
+            cp = self.partner[op]
+            if cp == -1:
+                continue
+            if t == "while":
+                if cp == op + 1:
+                    continue
+                loops.append(_LoopHeader(cp, (op + 1, cp), None, self._body_end(cp)))
+                continue
+            semis = [j for j in range(op + 1, cp) if texts[j] == ";" and depth[j] - depth[op] == 1]
+            if len(semis) != 2:
+                continue
+            cond = (semis[0] + 1, semis[1])
+            inc = (semis[1] + 1, cp) if semis[1] + 1 < cp else None
+            if cond[1] <= cond[0]:
+                continue
+            loops.append(_LoopHeader(cp, cond, inc, self._body_end(cp)))
+        return loops
 
-def _depth_ok(tokens: Sequence[Token], open_paren: int, j: int) -> bool:
-    depth = 0
-    for k in range(open_paren, j):
-        if tokens[k].text == "(":
-            depth += 1
-        elif tokens[k].text == ")":
-            depth -= 1
-    return depth == 1
+    def _body_end(self, close_paren: int) -> int:
+        """Last token index (inclusive) of the loop body following a `)` token."""
+        texts, n = self.texts, len(self.texts)
+        j = close_paren + 1
+        while j < n and self.kinds[j] in (TokenKind.COMMENT, TokenKind.PRAGMA):
+            j += 1
+        if j >= n:
+            return close_paren
+        if texts[j] == "{":
+            return self.partner[j] if self.partner[j] != -1 else n - 1
+        while j < n and texts[j] != ";":
+            j += 1
+        return min(j, n - 1)
 
-
-def _identifier_used_in(tokens: Sequence[Token], name: str, lo: int, hi: int) -> bool:
-    return any(
-        t.kind is TokenKind.IDENTIFIER and t.text == name
-        for t in tokens[lo:hi + 1]
-    )
-
-
-def _rewrite_tokens(stream: TokenStream, span: tuple[int, int], replacements: dict[int, str]) -> str:
-    """Span text with some tokens replaced, original gaps preserved."""
-    lo, hi = span
-    out = []
-    pos = stream.tokens[lo].byte_start
-    for idx in range(lo, hi):
-        tok = stream.tokens[idx]
-        out.append(stream.source[pos:tok.byte_start])
-        out.append(replacements.get(idx, tok.text))
-        pos = tok.byte_end
-    return "".join(out)
-
-
-def _index_expr_span(tokens: Sequence[Token], idx: int) -> tuple[int, int] | None:
-    """Innermost `[ ... ]` content span containing token `idx`."""
-    depth = 0
-    for j in range(idx, -1, -1):
-        if tokens[j].text == "]":
-            depth += 1
-        elif tokens[j].text == "[":
-            if depth == 0:
-                close = _match_forward(tokens, j, "[", "]")
-                if close != -1 and close > idx:
-                    return (j + 1, close)
-                return None
-            depth -= 1
-    return None
+    def rewrite(self, span: tuple[int, int], replacements: dict[int, str]) -> str:
+        """Span text with some tokens replaced, original gaps preserved."""
+        lo, hi = span
+        toks, source = self.stream.tokens, self.stream.source
+        out = []
+        pos = toks[lo].byte_start
+        for idx in range(lo, hi):
+            out.append(source[pos:toks[idx].byte_start])
+            out.append(replacements.get(idx, self.texts[idx]))
+            pos = toks[idx].byte_end
+        return "".join(out)
 
 
 # --- site discovery ----------------------------------------------------------
 
 
-def find_sites(stream: TokenStream, bug_type: BugType) -> list[MutationSite]:
-    """All sites where `bug_type`'s operator applies, with their rewrites, in source order."""
-    finder = _FINDERS[bug_type]
-    sites = finder(stream)
-    sites.sort(key=lambda s: s.token_span)
-    return sites
+def find_sites(stream: TokenStream) -> dict[BugType, list[MutationSite]]:
+    """Every operator's sites in `stream`, with their rewrites, each list in source order."""
+    scan = _Scan(stream)
+    return {t: sorted(finder(scan), key=lambda s: s.token_span) for t, finder in _FINDERS.items()}
 
 
-def _find_oob(stream: TokenStream) -> list[MutationSite]:
-    toks = stream.tokens
-    decls = _scan_declarations(toks)
-    arrays = {d.name: d.array_size for d in decls if d.array_size is not None}
+def _find_oob(scan: _Scan) -> list[MutationSite]:
+    texts, kinds = scan.texts, scan.kinds
     sites = []
-    for loop in _scan_loop_headers(toks):
+    for loop in scan.loops:
         lo, hi = loop.cond_span
         if hi - lo != 3:
             continue
-        var, op, bound = toks[lo], toks[lo + 1], toks[lo + 2]
-        if var.kind is not TokenKind.IDENTIFIER or op.text != "<" or bound.kind is not TokenKind.NUMBER:
+        if kinds[lo] is not TokenKind.IDENTIFIER or texts[lo + 1] != "<" or kinds[lo + 2] is not TokenKind.NUMBER:
             continue
-        bval = _int_value(bound.text)
+        bval = _int_value(texts[lo + 2])
         if bval is None:
             continue
-        hit = [
-            name for name, size in arrays.items()
-            if size == bval and _identifier_used_in(toks, name, loop.close_paren + 1, loop.body_end)
-        ]
-        if hit:
+        body = range(loop.close_paren + 1, loop.body_end + 1)
+        if any(
+            size == bval and any(texts[k] == name and kinds[k] is TokenKind.IDENTIFIER for k in body)
+            for name, size in scan.arrays.items()
+        ):
             span = (lo, hi)
-            relaxed = _rewrite_tokens(stream, span, {lo + 1: "<="})
-            bumped = _rewrite_tokens(stream, span, {lo + 2: str(bval + 1)})
+            relaxed = scan.rewrite(span, {lo + 1: "<="})
+            bumped = scan.rewrite(span, {lo + 2: str(bval + 1)})
             sites.append(MutationSite(BugType.OOB, span, ((span, relaxed), (span, bumped))))
     return sites
 
 
-def _find_init(stream: TokenStream) -> list[MutationSite]:
-    toks = stream.tokens
+def _find_init(scan: _Scan) -> list[MutationSite]:
+    toks = scan.stream.tokens
     sites = []
-    for d in _scan_declarations(toks):
-        if d.init_span is None:
-            continue
-        read_later = any(
-            t.kind is TokenKind.IDENTIFIER and t.text == d.name
-            and (i + 1 >= len(toks) or toks[i + 1].text != "=")
-            for i, t in enumerate(toks[d.stmt_end + 1:], start=d.stmt_end + 1)
-        )
-        if read_later:
+    for d in scan.decls:
+        if d.init_span is not None and scan.last_read.get(d.name, -1) > d.stmt_end:
             # keep everything up to (not including) `=`: the name plus any array suffix
-            kept = stream.source[toks[d.name_idx].byte_start:toks[d.init_eq - 1].byte_end]
+            kept = scan.stream.source[toks[d.name_idx].byte_start:toks[d.init_eq - 1].byte_end]
             sites.append(MutationSite(BugType.INIT, d.init_span, ((d.init_span, kept),)))
     return sites
 
 
-def _shift_width(tokens: Sequence[Token], shift_idx: int, decls: list[_Decl]) -> int:
-    # walk back to the shifted operand's base identifier
+def _shift_width(scan: _Scan, shift_idx: int) -> int:
+    # step back to the shifted operand's base identifier, over one `[...]`
     j = shift_idx - 1
-    if j >= 0 and tokens[j].text == "]":
-        back = j
-        depth = 0
-        while back >= 0:
-            if tokens[back].text == "]":
-                depth += 1
-            elif tokens[back].text == "[":
-                depth -= 1
-                if depth == 0:
-                    break
-            back -= 1
-        j = back - 1
-    if j >= 0 and tokens[j].kind is TokenKind.IDENTIFIER:
-        name = tokens[j].text
-        for d in decls:
+    if j >= 0 and scan.texts[j] == "]":
+        j = scan.partner[j] - 1
+    if j >= 0 and scan.kinds[j] is TokenKind.IDENTIFIER:
+        name = scan.texts[j]
+        for d in scan.decls:
             if d.name == name:
                 return 64 if d.type_words.count("long") >= 2 else 32
     return 32
 
 
-def _find_shft(stream: TokenStream) -> list[MutationSite]:
-    toks = stream.tokens
-    decls = _scan_declarations(toks)
+_SHIFTS = frozenset(("<<", ">>", "<<=", ">>="))
+
+
+def _find_shft(scan: _Scan) -> list[MutationSite]:
+    texts, kinds = scan.texts, scan.kinds
     sites = []
-    for i, tok in enumerate(toks[:-1]):
-        if tok.kind is TokenKind.OPERATOR and tok.text in ("<<", ">>", "<<=", ">>="):
-            amount = toks[i + 1]
-            if amount.kind is not TokenKind.NUMBER:
+    for i, t in enumerate(texts[:-1]):
+        if t in _SHIFTS and kinds[i] is TokenKind.OPERATOR:
+            if kinds[i + 1] is not TokenKind.NUMBER:
                 continue
-            val = _int_value(amount.text)
+            val = _int_value(texts[i + 1])
             if val is None:
                 continue
-            width = _shift_width(toks, i, decls)
+            width = _shift_width(scan, i)
             if val >= width:
                 continue  # already out of bounds; nothing to break
             span = (i + 1, i + 2)
@@ -366,15 +331,15 @@ def _find_shft(stream: TokenStream) -> list[MutationSite]:
 _INVERT = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
-def _find_inf(stream: TokenStream) -> list[MutationSite]:
-    toks = stream.tokens
+def _find_inf(scan: _Scan) -> list[MutationSite]:
+    texts = scan.texts
     sites = []
-    for loop in _scan_loop_headers(toks):
+    for loop in scan.loops:
         lo, hi = loop.cond_span
-        rel = [j for j in range(lo, hi) if toks[j].text in _INVERT]
+        rel = [j for j in range(lo, hi) if texts[j] in _INVERT]
         rewrites = []
         if rel:
-            rewrites.append(((rel[0], rel[0] + 1), _INVERT[toks[rel[0]].text]))
+            rewrites.append(((rel[0], rel[0] + 1), _INVERT[texts[rel[0]]]))
         if loop.inc_span is not None:
             rewrites.append(((loop.inc_span[0] - 1, loop.inc_span[1]), ";"))  # drop the increment
         if not rewrites:
@@ -384,27 +349,25 @@ def _find_inf(stream: TokenStream) -> list[MutationSite]:
     return sites
 
 
-def _find_use(stream: TokenStream) -> list[MutationSite]:
-    toks = stream.tokens
-    decls = _scan_declarations(toks)
-    ll_names = {d.name for d in decls if d.type_words.count("long") >= 2}
+def _find_use(scan: _Scan) -> list[MutationSite]:
+    texts, kinds = scan.texts, scan.kinds
+    n = len(texts)
+    ll_names = {d.name for d in scan.decls if d.type_words.count("long") >= 2}
     sites = []
-    for d in decls:
-        if not d.type_words or d.type_words[0] != "unsigned":
-            continue
+    for d in scan.decls:
         if d.type_words not in (("unsigned",), ("unsigned", "int")):
             continue
         feeds = False
-        for i in range(d.stmt_end + 1, len(toks)):
-            if toks[i].kind is not TokenKind.IDENTIFIER or toks[i].text != d.name:
+        for i in range(d.stmt_end + 1, n):
+            if kinds[i] is not TokenKind.IDENTIFIER or texts[i] != d.name:
                 continue
-            nxt = toks[i + 1].text if i + 1 < len(toks) else ""
-            prv = toks[i - 1].text if i > 0 else ""
-            if nxt in ("<<", ">>", "<<=", ">>=") or prv in ("<<", ">>"):
+            nxt = texts[i + 1] if i + 1 < n else ""
+            prv = texts[i - 1]
+            if nxt in _SHIFTS or prv in ("<<", ">>"):
                 feeds = True
                 break
             # widening assignment: `ll = ... name ...`
-            if prv == "=" and i >= 2 and toks[i - 2].text in ll_names:
+            if prv == "=" and i >= 2 and texts[i - 2] in ll_names:
                 feeds = True
                 break
         if feeds:
@@ -414,22 +377,22 @@ def _find_use(stream: TokenStream) -> list[MutationSite]:
     return sites
 
 
-def _split_statements(tokens: Sequence[Token]) -> list[tuple[int, int]]:
+def _split_statements(texts: Sequence[str]) -> list[tuple[int, int]]:
     """Half-open token spans of `;`-terminated statements, per brace depth run."""
     spans = []
     start = 0
-    for i, t in enumerate(tokens):
-        if t.text == ";":
+    for i, t in enumerate(texts):
+        if t == ";":
             spans.append((start, i + 1))
             start = i + 1
-        elif t.text in ("{", "}"):
+        elif t in ("{", "}"):
             start = i + 1
     return spans
 
 
-def _find_mlu(stream: TokenStream) -> list[MutationSite]:
-    toks = stream.tokens
-    stmts = _split_statements(toks)
+def _find_mlu(scan: _Scan) -> list[MutationSite]:
+    texts, kinds, depth = scan.texts, scan.kinds, scan.square_depth
+    stmts = _split_statements(texts)
     sites = []
     for (a_lo, a_hi), (b_lo, b_hi) in zip(stmts, stmts[1:]):
         if a_hi != b_lo or a_hi - a_lo != b_hi - b_lo or a_hi - a_lo < 4:
@@ -437,10 +400,10 @@ def _find_mlu(stream: TokenStream) -> list[MutationSite]:
         diff = []
         same_shape = True
         for off in range(a_hi - a_lo):
-            ta, tb = toks[a_lo + off], toks[b_lo + off]
-            if ta.text == tb.text and ta.kind == tb.kind:
+            a, b = a_lo + off, b_lo + off
+            if texts[a] == texts[b] and kinds[a] is kinds[b]:
                 continue
-            if ta.kind is TokenKind.NUMBER and tb.kind is TokenKind.NUMBER:
+            if kinds[a] is TokenKind.NUMBER and kinds[b] is TokenKind.NUMBER:
                 diff.append(off)
             else:
                 same_shape = False
@@ -448,41 +411,31 @@ def _find_mlu(stream: TokenStream) -> list[MutationSite]:
         if not same_shape or not diff:
             continue
         # the corrupted literal must sit inside an index expression
-        bracketed = [off for off in diff if _inside_brackets(toks, b_lo, b_hi, b_lo + off)]
+        bracketed = [off for off in diff if depth[b_lo + off] - depth[b_lo] > 0]
         if not bracketed:
             continue
         rewrites = []
         for off in bracketed:  # copy the neighbour's literal into the index expression
             lit = b_lo + off
-            span = _index_expr_span(toks, lit) or (lit, lit + 1)
-            rewrites.append((span, _rewrite_tokens(stream, span, {lit: toks[a_lo + off].text})))
+            open_ = scan.square_open[lit]
+            close = scan.partner[open_] if open_ != -1 else -1
+            span = (open_ + 1, close) if close != -1 else (lit, lit + 1)
+            rewrites.append((span, scan.rewrite(span, {lit: texts[a_lo + off]})))
         sites.append(MutationSite(BugType.MLU, (b_lo, b_hi), tuple(rewrites)))
     return sites
 
 
-def _inside_brackets(tokens: Sequence[Token], lo: int, hi: int, idx: int) -> bool:
-    depth = 0
-    for j in range(lo, idx):
-        if tokens[j].text == "[":
-            depth += 1
-        elif tokens[j].text == "]":
-            depth -= 1
-    return depth > 0
-
-
-def _find_zero(stream: TokenStream) -> list[MutationSite]:
-    toks = stream.tokens
+def _find_zero(scan: _Scan) -> list[MutationSite]:
     sites = []
-    for d in _scan_declarations(toks):
+    for d in scan.decls:
         if d.init_span is None:
             continue
         lo, hi = d.init_span
         if hi - lo != 3:  # name = literal
             continue
-        lit = toks[lo + 2]
-        if lit.kind is not TokenKind.NUMBER:
+        if scan.kinds[lo + 2] is not TokenKind.NUMBER:
             continue
-        val = _int_value(lit.text)
+        val = _int_value(scan.texts[lo + 2])
         if val is None or val == 0:
             continue
         sites.append(MutationSite(BugType.ZERO, (lo + 2, lo + 3), (((lo + 2, lo + 3), "0"),)))
@@ -492,48 +445,37 @@ def _find_zero(stream: TokenStream) -> list[MutationSite]:
 _HALF_NAMES = ("half", "mid", "offset", "off")
 
 
-def _is_half_offset(tokens: Sequence[Token], lo: int, hi: int, array_size: int | None) -> bool:
-    """True when tokens[lo:hi] looks like a half-size offset expression."""
-    span = tokens[lo:hi]
-    if len(span) == 1:
-        t = span[0]
-        if t.kind is TokenKind.NUMBER:
-            v = _int_value(t.text)
+def _is_half_offset(scan: _Scan, lo: int, hi: int, array_size: int | None) -> bool:
+    """True when tokens lo..hi-1 look like a half-size offset expression."""
+    texts, kinds = scan.texts, scan.kinds
+    if hi - lo == 1:
+        if kinds[lo] is TokenKind.NUMBER:
+            v = _int_value(texts[lo])
             return v is not None and array_size is not None and v * 2 == array_size
-        if t.kind is TokenKind.IDENTIFIER:
-            low = t.text.lower()
+        if kinds[lo] is TokenKind.IDENTIFIER:
+            low = texts[lo].lower()
             return any(h in low for h in _HALF_NAMES)
-    if len(span) == 3 and span[1].text == "/" and span[2].text == "2":
-        return span[0].kind in (TokenKind.IDENTIFIER, TokenKind.NUMBER)
-    if len(span) == 3 and span[1].text == ">>" and span[2].text == "1":
-        return span[0].kind in (TokenKind.IDENTIFIER, TokenKind.NUMBER)
+    if hi - lo == 3 and (texts[lo + 1], texts[lo + 2]) in (("/", "2"), (">>", "1")):
+        return kinds[lo] in (TokenKind.IDENTIFIER, TokenKind.NUMBER)
     return False
 
 
-def _find_buf(stream: TokenStream) -> list[MutationSite]:
-    toks = stream.tokens
-    decls = _scan_declarations(toks)
-    arrays = {d.name: d.array_size for d in decls if d.array_size is not None}
+def _find_buf(scan: _Scan) -> list[MutationSite]:
+    texts, kinds = scan.texts, scan.kinds
     sites = []
-    for i, tok in enumerate(toks):
-        if tok.text != "[" or i == 0:
+    for i in range(1, len(texts)):
+        if texts[i] != "[" or kinds[i - 1] is not TokenKind.IDENTIFIER or scan.partner[i] == -1:
             continue
-        base = toks[i - 1]
-        if base.kind is not TokenKind.IDENTIFIER:
-            continue
-        close = _match_forward(toks, i, "[", "]")
-        if close == -1:
-            continue
-        inner = (i + 1, close)
-        size = arrays.get(base.text)
+        inner = (i + 1, scan.partner[i])
+        size = scan.arrays.get(texts[i - 1])
         n_inner = inner[1] - inner[0]
-        if n_inner >= 3 and toks[inner[0]].kind is TokenKind.IDENTIFIER and toks[inner[0] + 1].text == "+":
-            if _is_half_offset(toks, inner[0] + 2, inner[1], size):
-                sites.append(MutationSite(BugType.BUF, inner, ((inner, toks[inner[0]].text),)))
-        elif n_inner == 1 and toks[inner[0]].kind is TokenKind.IDENTIFIER:
+        first = inner[0]
+        if n_inner >= 3 and kinds[first] is TokenKind.IDENTIFIER and texts[first + 1] == "+":
+            if _is_half_offset(scan, first + 2, inner[1], size):
+                sites.append(MutationSite(BugType.BUF, inner, ((inner, texts[first]),)))
+        elif n_inner == 1 and kinds[first] is TokenKind.IDENTIFIER:
             if size is not None and size % 2 == 0 and size >= 2:
-                added = f"{toks[inner[0]].text} + {size // 2}"
-                sites.append(MutationSite(BugType.BUF, inner, ((inner, added),)))
+                sites.append(MutationSite(BugType.BUF, inner, ((inner, f"{texts[first]} + {size // 2}"),)))
     return sites
 
 
@@ -662,7 +604,7 @@ def generate_for_sample(sample_id: str, code: str, per_sample: int, seed: int) -
         stream = lex(code)
     except DataError:
         return None
-    queues = {t: find_sites(stream, t) for t in BugType}
+    queues = find_sites(stream)
     order = [t for t in BugType if queues[t]]
     if not order:
         return None

@@ -16,7 +16,7 @@ import csv
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -240,6 +240,7 @@ class TrainState:
     adam: AdamState = field(default_factory=AdamState)
     epoch: int = 0  # the next epoch to run
     step: int = 0  # optimizer steps taken
+    curve: list[CurveRow] = field(default_factory=list)  # one row per step taken, in order
 
 
 def write_curve_csv(path: str | Path, rows: Sequence[CurveRow]) -> None:
@@ -274,13 +275,15 @@ def save_checkpoint(path: str | Path, state: TrainState) -> None:
         "adam_t": state.adam.t,
         "next_epoch": state.epoch,
         "step": state.step,
+        "curve": [list(astuple(row)) for row in state.curve],
         "rng_state": json.loads(json.dumps(state.rng.getstate())),
     })
 
 
 def load_checkpoint(path: str | Path) -> TrainState:
     tensors, meta = load_tensors(path)
-    for key in ("config", "vocab", "train_config", "loss_weights", "adam_t", "next_epoch", "step", "rng_state"):
+    for key in ("config", "vocab", "train_config", "loss_weights", "adam_t", "next_epoch", "step", "curve",
+                "rng_state"):
         if key not in meta:
             raise DataError(f"checkpoint {path} lacks {key!r}")
     for key in ("adam_t", "next_epoch", "step"):
@@ -307,7 +310,19 @@ def load_checkpoint(path: str | Path) -> TrainState:
         raise DataError(f"checkpoint {path} has a malformed rng_state") from None
     cfg = dataclass_from_meta(TrainConfig, meta["train_config"], "train config", path)
     weights = dataclass_from_meta(LossWeights, meta["loss_weights"], "loss weights", path)
-    return TrainState(model, cfg, weights, rng, adam, meta["next_epoch"], meta["step"])
+    return TrainState(model, cfg, weights, rng, adam, meta["next_epoch"], meta["step"],
+                      _curve_from_meta(meta["curve"], meta["step"], path))
+
+
+def _curve_from_meta(rows, step: int, path: str | Path) -> list[CurveRow]:
+    """A checkpoint's curve: rows for steps 1..step, each four finite float losses."""
+    def well_formed(i: int, row) -> bool:
+        return (type(row) is list and len(row) == 5 and type(row[0]) is int and row[0] == i
+                and all(type(v) is float and math.isfinite(v) for v in row[1:]))
+
+    if type(rows) is not list or len(rows) != step or not all(well_formed(i, r) for i, r in enumerate(rows, 1)):
+        raise DataError(f"checkpoint {path} has a curve that is not steps 1..{step} with finite losses")
+    return [CurveRow(*row) for row in rows]
 
 
 # --- the trainer ---------------------------------------------------------------------
@@ -332,7 +347,11 @@ def resume(
     stop_fn: Callable[[int, DebuggerModel], bool] | None = None,
     epochs: int | None = None,
 ) -> tuple[DebuggerModel, TrainResult]:
-    """Continue a checkpointed run; the curve picks up where it left off."""
+    """Continue a checkpointed run; the curve picks up where it left off.
+
+    The checkpoint carries its curve, so `out_dir/curve.csv` is the
+    uninterrupted run's curve whatever the directory held before.
+    """
     state = load_checkpoint(checkpoint)
     if epochs is not None:
         state.cfg.epochs = epochs
@@ -344,21 +363,14 @@ def resume(
 
 
 def _run(state: TrainState, records: Sequence[BugRecord], out_dir: str | Path | None, stop_fn) -> TrainResult:
-    """Advance `state` to `cfg.epochs`.
-
-    A run from step k > 0 keeps rows 1..k of `out_dir/curve.csv`, so resuming
-    into a checkpoint's own directory gives the uninterrupted run's curve.
-    """
+    """Advance `state` to `cfg.epochs`; `out_dir/curve.csv` gets every row of `state.curve`."""
     if not records:
         raise ValueError("no training records")
     model, cfg, weights = state.model, state.cfg, state.weights
     out_path = Path(out_dir) if out_dir is not None else None
-    kept: list[CurveRow] = []  # the rows before this run's first step
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
-        if state.step > 0 and (out_path / "curve.csv").exists():
-            kept = [row for row in read_curve_csv(out_path / "curve.csv") if row.step <= state.step]
-    curve: list[CurveRow] = []
+    first_row = len(state.curve)
     checkpoints: list[Path] = []
     n_truncated = 0
     stopped = False
@@ -393,7 +405,7 @@ def _run(state: TrainState, records: Sequence[BugRecord], out_dir: str | Path | 
             for p in model.params.values():
                 p.zero_grad()
             state.step += 1
-            curve.append(
+            state.curve.append(
                 CurveRow(state.step, float(l_t.data), float(l_b.data), float(l_d.data), float(combined.data))
             )
         state.epoch = epoch + 1
@@ -405,8 +417,8 @@ def _run(state: TrainState, records: Sequence[BugRecord], out_dir: str | Path | 
             stopped = True
             break
     if out_path is not None:
-        write_curve_csv(out_path / "curve.csv", kept + curve)
-    return TrainResult(curve, state.epoch - 1, stopped, n_truncated, checkpoints)
+        write_curve_csv(out_path / "curve.csv", state.curve)
+    return TrainResult(state.curve[first_row:], state.epoch - 1, stopped, n_truncated, checkpoints)
 
 
 # --- config files ----------------------------------------------------------------------

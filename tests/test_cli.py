@@ -2,6 +2,7 @@ import contextlib
 import functools
 import io
 import json
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -207,8 +208,8 @@ class TestTrainEvalDebug:
             "--resume", str(ckpt), "--epochs", "3",
         ]) == 0
         resumed = read_curve_csv(second / "curve.csv")
-        assert resumed[0].step == 2  # continues the global step counter
-        assert resumed[-1].step == 3
+        assert [row.step for row in resumed] == [1, 2, 3]  # the checkpoint carries step 1's row
+        assert resumed[0] == read_curve_csv(first / "curve.csv")[0]
         manifest = json.loads((second / "model.bin.manifest.json").read_text())
         assert any("resumed" in note for note in manifest["notes"])
 
@@ -466,7 +467,7 @@ def checkpoint_path(tmp_path, records_path):
 
 
 class TestResumeChecks:
-    """A resume that adds no epoch, or a checkpoint with a malformed counter or RNG state, is a data error."""
+    """A resume that adds no epoch, or a checkpoint with a malformed counter, RNG state or curve, is a data error."""
 
     @pytest.mark.parametrize("epochs", [None, "1", "0", "-3"])
     def test_epochs_must_exceed_checkpoint(self, tmp_path, records_path, checkpoint_path, epochs, capsys):
@@ -476,6 +477,11 @@ class TestResumeChecks:
     @pytest.mark.parametrize("key, value", [
         ("rng_state", 5), ("rng_state", [3, [1, 2], None]), ("rng_state", "abc"),
         ("step", "x"), ("step", -1), ("next_epoch", 1.5), ("adam_t", None), ("adam_t", True),
+        # the checkpoint holds one step, so its curve must be one row `[1, four finite floats]`
+        ("curve", None), ("curve", "abc"), ("curve", []), ("curve", [[1, 0.5, 0.5, 0.5]]),
+        ("curve", [[2, 0.5, 0.5, 0.5, 0.5]]), ("curve", [[True, 0.5, 0.5, 0.5, 0.5]]),
+        ("curve", [[1, 1, 0.5, 0.5, 0.5]]), ("curve", [[1, float("nan"), 0.5, 0.5, 0.5]]),
+        ("curve", [[1, 0.5, 0.5, 0.5, 0.5], [2, 0.5, 0.5, 0.5, 0.5]]),
     ])
     def test_malformed_meta(self, tmp_path, records_path, checkpoint_path, key, value, capsys):
         _rewrite_header(checkpoint_path, lambda header: header["meta"].update({key: value}))
@@ -501,18 +507,6 @@ class TestResumeChecks:
             _assert_data_exit(["train", "--records", records_path, "--out-dir", run,
                                "--resume", checkpoint_path, "--epochs", "2"], capsys)
         assert not (run / "model.bin").exists()
-
-    @pytest.mark.parametrize("text", [
-        "", "step,L_type\n", "step,L_type,L_bug,L_decoder,L_all\n1,x,0,0,0\n",
-        "step,L_type,L_bug,L_decoder,L_all\n1,2\n",
-    ], ids=["empty", "header", "value", "short-row"])
-    def test_malformed_curve_in_resume_dir(self, records_path, checkpoint_path, text, capsys):
-        run = checkpoint_path.parent
-        (run / "curve.csv").write_text(text)
-        _assert_data_exit(["train", "--records", records_path, "--out-dir", run,
-                           "--resume", checkpoint_path, "--epochs", "2"], capsys)
-        assert not (run / "checkpoint_00002.bin").exists()  # rejected before training
-        assert (run / "curve.csv").read_text() == text
 
 
 class TestResumeFlags:
@@ -608,6 +602,16 @@ def test_debug_source_not_utf8(tmp_path, model_path, capsys):
     source = tmp_path / "kernel.c"
     source.write_bytes(b"int x = 1; // \xff\n")
     _assert_data_exit(["debug", source, "--model", model_path], capsys)
+
+
+def test_debug_prints_lines_as_the_lexer_counts_them(tmp_path, model_path, capsys):
+    # `\f` (like `\v`, `\x1c`-`\x1e`, `\x85`, U+2028, U+2029) ends a line for
+    # `str.splitlines` but not for the lexer, whose lines end at `\n` only
+    source = tmp_path / "kernel.c"
+    source.write_text("int a;\f\nint b = 1;\n")
+    assert _run(["debug", str(source), "--model", str(model_path), "--top", "2"]) == 0
+    shown = dict(re.findall(r"line +(\d+) .*\| (.*)$", capsys.readouterr().out, re.M))
+    assert shown == {"1": "int a;", "2": "int b = 1;"}
 
 
 def _run_quiet(argv):

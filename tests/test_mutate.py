@@ -44,14 +44,14 @@ class TestOOB:
 
     def test_single_site_at_comparison(self):
         stream = lex(self.SRC)
-        sites = find_sites(stream, BugType.OOB)
+        sites = find_sites(stream)[BugType.OOB]
         assert len(sites) == 1
         lo, hi = sites[0].token_span
         assert [t.text for t in stream.tokens[lo:hi]] == ["i", "<", "8"]
 
     def test_relaxed_comparison_marks_three_tokens(self):
         stream = lex(self.SRC)
-        (site,) = find_sites(stream, BugType.OOB)
+        (site,) = find_sites(stream)[BugType.OOB]
         rec = _inject_until(stream, site, lambda r: "<=" in r.snippet_buggy)
         assert rec.snippet_correct == "i < 8"
         assert rec.snippet_buggy == "i <= 8"
@@ -61,24 +61,24 @@ class TestOOB:
 
     def test_bound_bump_variant(self):
         stream = lex(self.SRC)
-        (site,) = find_sites(stream, BugType.OOB)
+        (site,) = find_sites(stream)[BugType.OOB]
         rec = _inject_until(stream, site, lambda r: "9" in r.snippet_buggy)
         assert rec.snippet_buggy == "i < 9"
         assert _flagged_texts(rec) == ["i", "<", "9"]
 
     def test_no_site_when_bound_differs_from_array_size(self):
         stream = lex("int a[8];\nint i;\nfor (i = 0; i < 7; i++) a[i] = 0;\n")
-        assert find_sites(stream, BugType.OOB) == []
+        assert find_sites(stream)[BugType.OOB] == []
 
     def test_no_site_when_array_unused_in_body(self):
         stream = lex("int a[8];\nint i, s;\nfor (i = 0; i < 8; i++) s = s + i;\n")
-        assert find_sites(stream, BugType.OOB) == []
+        assert find_sites(stream)[BugType.OOB] == []
 
 
 class TestINIT:
     def test_initializer_removed(self):
         stream = lex("int x = 0;\nint y;\ny = x + 1;\n")
-        sites = find_sites(stream, BugType.INIT)
+        sites = find_sites(stream)[BugType.INIT]
         assert len(sites) == 1
         rec = inject(stream, sites[0], 0)
         assert rec.snippet_correct == "x = 0"
@@ -88,20 +88,20 @@ class TestINIT:
 
     def test_array_initializer_keeps_suffix(self):
         stream = lex("int acc[4] = {0, 1, 2, 3};\nint z;\nz = acc[0];\n")
-        (site,) = find_sites(stream, BugType.INIT)
+        (site,) = find_sites(stream)[BugType.INIT]
         rec = inject(stream, site, 1)
         assert rec.snippet_buggy == "acc[4]"
         assert "int acc[4];" in rec.buggy_code
 
     def test_write_only_variable_is_not_a_site(self):
         stream = lex("int x = 0;\nx = 3;\n")
-        assert find_sites(stream, BugType.INIT) == []
+        assert find_sites(stream)[BugType.INIT] == []
 
 
 class TestSHFT:
     def test_amount_exceeds_32_bit_width(self):
         stream = lex("int v = 1;\nint w;\nw = v << 3;\n")
-        sites = find_sites(stream, BugType.SHFT)
+        sites = find_sites(stream)[BugType.SHFT]
         assert len(sites) == 1
         rec = inject(stream, sites[0], 7)
         assert rec.snippet_correct == "3"
@@ -111,17 +111,17 @@ class TestSHFT:
 
     def test_long_long_uses_64_bit_width(self):
         stream = lex("long long v = 1;\nlong long w;\nw = v << 3;\n")
-        (site,) = find_sites(stream, BugType.SHFT)
+        (site,) = find_sites(stream)[BugType.SHFT]
         rec = inject(stream, site, 7)
         assert 65 <= int(rec.snippet_buggy) <= 72
 
     def test_already_out_of_bounds_shift_is_skipped(self):
         stream = lex("int v = 1;\nint w;\nw = v << 40;\n")
-        assert find_sites(stream, BugType.SHFT) == []
+        assert find_sites(stream)[BugType.SHFT] == []
 
     def test_variable_amount_is_skipped(self):
         stream = lex("int v = 1;\nint k = 2;\nint w;\nw = v << k;\n")
-        assert find_sites(stream, BugType.SHFT) == []
+        assert find_sites(stream)[BugType.SHFT] == []
 
 
 class TestINF:
@@ -129,7 +129,7 @@ class TestINF:
 
     def test_inverted_condition(self):
         stream = lex(self.SRC)
-        (site,) = find_sites(stream, BugType.INF)
+        (site,) = find_sites(stream)[BugType.INF]
         rec = _inject_until(stream, site, lambda r: r.snippet_buggy == ">")
         assert rec.snippet_correct == "<"
         assert "for (i = 0; i > 8; i++)" in rec.buggy_code
@@ -137,7 +137,7 @@ class TestINF:
 
     def test_dropped_increment(self):
         stream = lex(self.SRC)
-        (site,) = find_sites(stream, BugType.INF)
+        (site,) = find_sites(stream)[BugType.INF]
         rec = _inject_until(stream, site, lambda r: r.snippet_buggy == ";")
         assert rec.snippet_correct == "; i++"
         assert "for (i = 0; i < 8;)" in rec.buggy_code
@@ -145,7 +145,7 @@ class TestINF:
 
     def test_while_loop_only_inverts(self):
         stream = lex("int i = 0;\nwhile (i < 4) i = i + 1;\n")
-        (site,) = find_sites(stream, BugType.INF)
+        (site,) = find_sites(stream)[BugType.INF]
         assert [text for _, text in site.rewrites] == [">"]
         rec = inject(stream, site, 0)
         assert rec.snippet_buggy == ">"
@@ -154,7 +154,7 @@ class TestINF:
 class TestUSE:
     def test_unsigned_feeding_shift(self):
         stream = lex("unsigned int u = 1;\nint r;\nr = (int)(u << 2);\n")
-        (site,) = find_sites(stream, BugType.USE)
+        (site,) = find_sites(stream)[BugType.USE]
         rec = inject(stream, site, 0)
         assert rec.snippet_correct == "unsigned int"
         assert rec.snippet_buggy == "int"
@@ -163,11 +163,11 @@ class TestUSE:
 
     def test_unsigned_widened_into_long_long(self):
         stream = lex("unsigned int u = 1;\nlong long w = 0;\nw = u * 2;\n")
-        assert len(find_sites(stream, BugType.USE)) == 1
+        assert len(find_sites(stream)[BugType.USE]) == 1
 
     def test_unsigned_without_risky_use_is_skipped(self):
         stream = lex("unsigned int u = 1;\nint r;\nr = u + 1;\n")
-        assert find_sites(stream, BugType.USE) == []
+        assert find_sites(stream)[BugType.USE] == []
 
 
 class TestMLU:
@@ -175,7 +175,7 @@ class TestMLU:
 
     def test_site_on_second_statement(self):
         stream = lex(self.SRC)
-        sites = find_sites(stream, BugType.MLU)
+        sites = find_sites(stream)[BugType.MLU]
         assert len(sites) == 1
         lo, hi = sites[0].token_span
         assert stream.tokens[lo].text == "d"
@@ -184,7 +184,7 @@ class TestMLU:
 
     def test_copied_offset_not_updated(self):
         stream = lex(self.SRC)
-        (site,) = find_sites(stream, BugType.MLU)
+        (site,) = find_sites(stream)[BugType.MLU]
         rec = inject(stream, site, 3)
         assert rec.snippet_correct == "1"
         assert rec.snippet_buggy == "0"
@@ -193,13 +193,13 @@ class TestMLU:
 
     def test_renamed_accumulators_do_not_match(self):
         stream = lex("int a0, a1, s[8];\na0 = a0 + s[0];\na1 = a1 + s[1];\n")
-        assert find_sites(stream, BugType.MLU) == []
+        assert find_sites(stream)[BugType.MLU] == []
 
 
 class TestZERO:
     def test_nonzero_initializer_zeroed(self):
         stream = lex("int acc = 1;\nint r;\nr = acc;\n")
-        (site,) = find_sites(stream, BugType.ZERO)
+        (site,) = find_sites(stream)[BugType.ZERO]
         rec = inject(stream, site, 0)
         assert rec.snippet_correct == "1"
         assert rec.snippet_buggy == "0"
@@ -208,13 +208,13 @@ class TestZERO:
 
     def test_zero_initializer_is_not_a_site(self):
         stream = lex("int acc = 0;\n")
-        assert find_sites(stream, BugType.ZERO) == []
+        assert find_sites(stream)[BugType.ZERO] == []
 
 
 class TestBUF:
     def test_half_offset_dropped(self):
         stream = lex("int d[8];\nint half = 4;\nint k = 1;\nint j;\nj = d[k + half];\n")
-        (site,) = find_sites(stream, BugType.BUF)
+        (site,) = find_sites(stream)[BugType.BUF]
         rec = inject(stream, site, 0)
         assert rec.snippet_correct == "k + half"
         assert rec.snippet_buggy == "k"
@@ -222,12 +222,12 @@ class TestBUF:
 
     def test_literal_half_offset_dropped(self):
         stream = lex("int d[8];\nint k = 1;\nint j;\nj = d[k + 4];\n")
-        sites = [s for s in find_sites(stream, BugType.BUF) if s.rewrites[0][1] == "k"]
+        sites = [s for s in find_sites(stream)[BugType.BUF] if s.rewrites[0][1] == "k"]
         assert len(sites) == 1
 
     def test_offset_added_to_plain_index(self):
         stream = lex("int d[8];\nint k = 1;\nint j;\nj = d[k];\n")
-        sites = [s for s in find_sites(stream, BugType.BUF) if s.rewrites[0][1] == "k + 4"]
+        sites = [s for s in find_sites(stream)[BugType.BUF] if s.rewrites[0][1] == "k + 4"]
         assert len(sites) == 1
         rec = inject(stream, sites[0], 0)
         assert rec.snippet_correct == "k"
@@ -236,7 +236,7 @@ class TestBUF:
 
     def test_non_half_literal_is_not_dropped(self):
         stream = lex("int d[8];\nint k = 1;\nint j;\nj = d[k + 3];\n")
-        assert [s for s in find_sites(stream, BugType.BUF) if s.rewrites[0][1] == "k"] == []
+        assert [s for s in find_sites(stream)[BugType.BUF] if s.rewrites[0][1] == "k"] == []
 
 
 # --- record invariants ----------------------------------------------------------
@@ -246,7 +246,7 @@ class TestVerifyRecord:
     @pytest.fixture()
     def record(self):
         stream = lex("int acc = 1;\nint r;\nr = acc;\n")
-        (site,) = find_sites(stream, BugType.ZERO)
+        (site,) = find_sites(stream)[BugType.ZERO]
         return inject(stream, site, 0)
 
     def test_fresh_record_verifies(self, record):
@@ -285,7 +285,7 @@ class TestVerifyRecord:
 def test_inject_rejects_foreign_site():
     stream = lex("int acc = 1;\n")
     other = lex("int a_very_much_longer_source = 1;\nint b = 2;\nint c = 3;\n")
-    site = find_sites(other, BugType.ZERO)[0]
+    site = find_sites(other)[BugType.ZERO][0]
     big_site = MutationSite(site.bug_type, (20, 21), site.rewrites)
     with pytest.raises(ValueError):
         inject(stream, big_site, 0)
@@ -302,7 +302,7 @@ def test_sites_are_sorted_by_position():
     kernel = make_kernel(random.Random(5))
     stream = lex(kernel)
     for t in BugType:
-        spans = [s.token_span for s in find_sites(stream, t)]
+        spans = [s.token_span for s in find_sites(stream)[t]]
         assert spans == sorted(spans)
 
 
@@ -397,7 +397,7 @@ def test_every_synth_kernel_has_all_eight_site_kinds():
     for sid, code in make_corpus(12, seed=2):
         stream = lex(code)
         for t in BugType:
-            assert find_sites(stream, t), f"{sid} lacks {t.value} sites"
+            assert find_sites(stream)[t], f"{sid} lacks {t.value} sites"
 
 
 @settings(max_examples=25, deadline=None)
@@ -406,7 +406,7 @@ def test_injection_round_trip_property(seed):
     kernel = make_kernel(random.Random(seed))
     stream = lex(kernel)
     for t in BugType:
-        for site in find_sites(stream, t)[:2]:
+        for site in find_sites(stream)[t][:2]:
             rec = inject(stream, site, seed)
             assert verify_record(rec)
             assert rec.bug_type is t
@@ -421,5 +421,41 @@ def test_injection_round_trip_property(seed):
 def test_inject_is_deterministic_in_seed(seed):
     kernel = make_kernel(random.Random(seed % 1000))
     stream = lex(kernel)
-    (site,) = find_sites(stream, BugType.OOB)
+    (site,) = find_sites(stream)[BugType.OOB]
     assert inject(stream, site, seed) == inject(stream, site, seed)
+
+
+# --- every finder on malformed code ------------------------------------------------
+
+_DAMAGE = ("(", ")", "[", "]", "{", "}", ";", "] [")
+
+
+def _damaged(code: str, rng: random.Random) -> str:
+    """`code` with one to three tokens deleted or stray brackets and `;` inserted."""
+    for _ in range(rng.randint(1, 3)):
+        toks = lex(code).tokens
+        tok = toks[rng.randrange(len(toks))]
+        if rng.random() < 0.4:
+            code = code[:tok.byte_start] + code[tok.byte_end:]
+        else:
+            code = code[:tok.byte_start] + f" {rng.choice(_DAMAGE)} " + code[tok.byte_start:]
+    return code
+
+
+def _damaged_sources() -> list[str]:
+    rng = random.Random(2024)
+    kernels = [code for _, code in _toy_kernels() + make_corpus(40, seed=31)]
+    return [_damaged(code, rng) for code in kernels for _ in range(4)]
+
+
+def test_sites_on_damaged_kernels_are_pinned():
+    # every type's spans and rewrites over 204 damaged kernels; a change to
+    # how any finder reads unbalanced brackets or stray tokens shows up here
+    h = hashlib.sha256()
+    for code in _damaged_sources():
+        stream = lex(code)
+        for t in BugType:
+            for site in find_sites(stream)[t]:
+                h.update(repr((t.value, site.token_span, site.rewrites)).encode())
+            h.update(b"|")
+    assert h.hexdigest() == "e95eb78215a3b89b437f17aa2d8e642c7586a3729c53d8568bf22ed69b76c363"

@@ -332,6 +332,15 @@ class TestTrain:
         assert [r.step for r in read_curve_csv(run / "curve.csv")] == list(range(1, len(full.curve) + 1))
         assert (run / "curve.csv").read_bytes() == (tmp_path / "full" / "curve.csv").read_bytes()
 
+    def test_resume_ignores_unrelated_curve_in_out_dir(self, vocab, records, tmp_path):
+        cfg = TrainConfig(epochs=4, batch_size=2, lr=1e-3, seed=11, checkpoint_every=2)
+        full = tmp_path / "full"
+        first = train(_tiny_model(vocab, seed=7), records[:4], cfg, out_dir=full)
+        other = tmp_path / "other"
+        train(_tiny_model(vocab, seed=5), records[:4], dataclasses.replace(cfg, epochs=2, seed=9), out_dir=other)
+        resume(first.checkpoints[0], records[:4], out_dir=other, epochs=4)  # from epoch 2, into the other run's dir
+        assert (other / "curve.csv").read_bytes() == (full / "curve.csv").read_bytes()
+
     def test_resumed_model_matches_full_run_weights(self, vocab, records, tmp_path):
         cfg_full = TrainConfig(epochs=2, batch_size=4, lr=1e-3, seed=13, checkpoint_every=1)
         model_full = _tiny_model(vocab, seed=8)
@@ -350,6 +359,7 @@ class TestTrain:
         state = load_checkpoint(result.checkpoints[0])
         assert state.epoch == 1
         assert state.step == len(result.curve)
+        assert state.curve == result.curve
         assert state.adam.t == state.step
         assert state.cfg == cfg
         assert state.weights == LossWeights()
@@ -361,10 +371,10 @@ class TestTrain:
         assert all(m.flags.writeable and v.flags.writeable for m, v in zip(adam.m.values(), adam.v.values()))
 
     @pytest.mark.parametrize("edit", [
-        *(lambda meta, key=key: meta.pop(key) for key in ("adam_t", "rng_state", "loss_weights", "step")),
+        *(lambda meta, key=key: meta.pop(key) for key in ("adam_t", "rng_state", "loss_weights", "step", "curve")),
         lambda meta: meta["config"].update(n_experts=4),
         lambda meta: meta["train_config"].update(warmup=3),
-    ], ids=["no-adam_t", "no-rng_state", "no-loss_weights", "no-step", "config-key", "train-config-key"])
+    ], ids=["no-adam_t", "no-rng_state", "no-loss_weights", "no-step", "no-curve", "config-key", "train-config-key"])
     def test_malformed_checkpoint_metadata_rejected(self, vocab, records, tmp_path, edit):
         from hlsdbg.tensorstore import load_tensors, save_tensors
 
