@@ -169,6 +169,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """`x @ w + b` as one node: leading axes of `x` flatten into a single 2-D GEMM."""
+    dtypes = {t.dtype for t in (x, w, b) if t is not None}
+    if len(dtypes) > 1:
+        raise ValueError(f"dtype mismatch in linear: {dtypes}")
+    x2 = x.data.reshape(-1, x.shape[-1])
+    y = x2 @ w.data
+    if b is not None:
+        y += b.data
+    out = Tensor(y.reshape(*x.shape[:-1], w.shape[1]))
+
+    def bwd(g):
+        g2 = g.reshape(-1, w.shape[1])
+        grads = ((g2 @ w.data.T).reshape(x.shape), x2.T @ g2)
+        return grads if b is None else (*grads, g2.sum(0))
+
+    return _record(out, (x, w) if b is None else (x, w, b), bwd)
+
+
 # --- shape ------------------------------------------------------------------
 
 
@@ -189,11 +208,9 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     if len(dtypes) > 1:
         raise ValueError(f"dtype mismatch in concat: {dtypes}")
     out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
-    sizes = [p.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
 
     def bwd(g):
-        return tuple(np.split(g, splits, axis=axis))
+        return tuple(np.split(g, np.cumsum([p.shape[axis] for p in parts])[:-1], axis=axis))
 
     return _record(out, tuple(parts), bwd)
 
@@ -287,10 +304,12 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 def layer_norm(a: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:
-    mu = a.data.mean(axis=axis, keepdims=True)
-    var = a.data.var(axis=axis, keepdims=True)
+    # the sums and divisions of `mean` and `var`, without their Python-level overhead
+    n = a.shape[axis]
+    xc = a.data - np.add.reduce(a.data, axis=axis, keepdims=True) / n
+    var = np.add.reduce(xc * xc, axis=axis, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + a.dtype.type(eps))
-    xhat = (a.data - mu) * inv
+    xhat = xc * inv
     out = Tensor(xhat)
 
     def bwd(g):
@@ -350,11 +369,42 @@ def exp(a: Tensor) -> Tensor:
     return _record(out, (a,), lambda g: (g * out.data,))
 
 
-def mask_logits(scores: Tensor, keep: np.ndarray) -> Tensor:
-    """Push masked-out positions to a large negative logit; `keep` is 1/0."""
-    keep = np.asarray(keep, dtype=scores.dtype)
-    out = Tensor(scores.data + (1.0 - keep) * scores.dtype.type(-1e9))
-    return _record(out, (scores,), lambda g: (g,))
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, keep: np.ndarray | None) -> Tensor:
+    """Multi-head scaled dot-product attention as one node.
+
+    `q` is (B, Tq, D), `k` and `v` are (B, Tk, D); heads are split and merged
+    as views. `keep` broadcasts to (B, H, Tq, Tk) with 1 = attend and 0 = a
+    logit pushed to -1e9; None attends to all. Backward reuses the softmax
+    output P: dS = P * (dP - rowsum(dP * P)).
+    """
+    dtypes = {q.dtype, k.dtype, v.dtype}
+    if len(dtypes) > 1:
+        raise ValueError(f"dtype mismatch in attention: {dtypes}")
+    b, d = q.shape[0], q.shape[2]
+    dh = d // n_heads
+
+    def split(x: np.ndarray) -> np.ndarray:  # (B, T, D) -> (B, H, T, D/H)
+        return x.reshape(b, -1, n_heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(x: np.ndarray) -> np.ndarray:  # (B, H, T, D/H) -> (B, T, D)
+        return x.transpose(0, 2, 1, 3).reshape(b, -1, d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    s = q.dtype.type(1.0 / math.sqrt(dh))
+    scores = (qh @ kh.transpose(0, 1, 3, 2)) * s
+    if keep is not None:
+        scores = scores + (1.0 - np.asarray(keep, dtype=q.dtype)) * q.dtype.type(-1e9)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    out = Tensor(merge(p @ vh))
+
+    def bwd(g):
+        gh = split(g)
+        dp = gh @ vh.transpose(0, 1, 3, 2)
+        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * s
+        return merge(ds @ kh), merge(ds.transpose(0, 1, 3, 2) @ qh), merge(p.transpose(0, 1, 3, 2) @ gh)
+
+    return _record(out, (q, k, v), bwd)
 
 
 def check_finite(t: Tensor, what: str) -> Tensor:

@@ -80,8 +80,9 @@ def _write_manifest(
 
 
 def _read_text(path: str | Path) -> str:
+    """The file's text as strict UTF-8, with its line endings untranslated."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: invalid UTF-8 ({exc.reason})") from None
 
@@ -264,7 +265,7 @@ def _cmd_debug(args, argv) -> int:
         tokens = pred.stream.tokens
         a, b = tokens[lo].byte_start, tokens[hi].byte_end
         corrected = code[:a] + pred.generated_text + code[b:]
-        Path(args.out).write_text(corrected)
+        Path(args.out).write_text(corrected, encoding="utf-8", newline="")
         _write_manifest(
             args.out,
             argv,

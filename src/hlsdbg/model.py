@@ -229,34 +229,21 @@ class DebuggerModel:
 
     # --- transformer pieces ---------------------------------------------------
 
-    def _heads(self, x: Tensor, weight: str) -> Tensor:
-        """Project (B, T, D) by `weight` and split heads: (B, H, T, D/H)."""
-        cfg = self.config
-        y = ad.matmul(x, self.params[weight])
-        b, t = y.shape[0], y.shape[1]
-        return ad.transpose(ad.reshape(y, (b, t, cfg.n_heads, cfg.d_model // cfg.n_heads)), (0, 2, 1, 3))
-
-    def _project_kv(self, x_kv: Tensor, prefix: str) -> tuple[Tensor, Tensor]:
-        """Keys and values of attention `prefix` over `x_kv`, heads split."""
-        return self._heads(x_kv, f"{prefix}wk"), self._heads(x_kv, f"{prefix}wv")
+    def _project(self, x: Tensor, prefix: str, *weights: str) -> list[Tensor]:
+        """(B, T, D) projections of `x` by each weight `prefix + w`."""
+        return [ad.linear(x, self.params[prefix + w]) for w in weights]
 
     def _attend(self, q: Tensor, k: Tensor, v: Tensor, prefix: str, keep: np.ndarray | None) -> Tensor:
-        """Multi-head attention of projected queries over keys/values.
+        """Multi-head attention of (B, T, D) projections, then the output projection.
 
         `keep` is (B, 1, T_q or 1, T_kv) with 1 = attend; None attends to all.
         """
-        cfg = self.config
-        b, tq = q.shape[0], q.shape[2]
-        scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(cfg.d_model // cfg.n_heads))
-        if keep is not None:
-            scores = ad.mask_logits(scores, keep)
-        attn = ad.softmax(scores, axis=-1)
-        ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (b, tq, cfg.d_model))
-        return ad.matmul(ctx, self.params[f"{prefix}wo"])
+        return ad.linear(ad.attention(q, k, v, self.config.n_heads, keep), self.params[f"{prefix}wo"])
 
     def _feed_forward(self, x: Tensor, prefix: str) -> Tensor:
-        hidden = ad.gelu(ad.add(ad.matmul(x, self.params[f"{prefix}w1"]), self.params[f"{prefix}b1"]))
-        return ad.add(ad.matmul(hidden, self.params[f"{prefix}w2"]), self.params[f"{prefix}b2"])
+        p = self.params
+        hidden = ad.gelu(ad.linear(x, p[f"{prefix}w1"], p[f"{prefix}b1"]))
+        return ad.linear(hidden, p[f"{prefix}w2"], p[f"{prefix}b2"])
 
     # --- encoder ----------------------------------------------------------------
 
@@ -286,9 +273,8 @@ class DebuggerModel:
         x = ad.add(x, ad.embedding_lookup(self.params["pos_enc"], pos_ids))
         attn_keep = keep.reshape(b, 1, 1, s)
         for i in range(cfg.n_layers_enc):
-            pre = ad.layer_norm(x)
-            q = self._heads(pre, f"enc{i}.wq")
-            x = ad.add(x, self._attend(q, *self._project_kv(pre, f"enc{i}."), f"enc{i}.", attn_keep))
+            q, k, v = self._project(ad.layer_norm(x), f"enc{i}.", "wq", "wk", "wv")
+            x = ad.add(x, self._attend(q, k, v, f"enc{i}.", attn_keep))
             x = ad.add(x, self._feed_forward(ad.layer_norm(x), f"enc{i}."))
         memory = ad.layer_norm(x)
         return EncoderOutput(
@@ -304,7 +290,7 @@ class DebuggerModel:
 
     def _head(self, x: Tensor, name: str) -> Tensor:
         for j in range(self.config.head_mlp_layers):
-            x = ad.add(ad.matmul(x, self.params[f"{name}.w{j}"]), self.params[f"{name}.b{j}"])
+            x = ad.linear(x, self.params[f"{name}.w{j}"], self.params[f"{name}.b{j}"])
             if j + 1 < self.config.head_mlp_layers:
                 x = ad.gelu(x)
         return x
@@ -330,24 +316,24 @@ class DebuggerModel:
         self_keep = causal.reshape(1, 1, t, t) * tgt_keep.reshape(b, 1, 1, t)
         return self._decode(tgt_ids, 0, self._cross(enc), self_keep)
 
-    def _cross(self, enc: EncoderOutput) -> tuple[list[tuple[Tensor, Tensor]], np.ndarray]:
+    def _cross(self, enc: EncoderOutput) -> tuple[list[list[Tensor]], np.ndarray]:
         """Each decoder layer's cross-attention keys and values, and their mask."""
         b, s = enc.pad_mask.shape
-        kv = [self._project_kv(enc.memory, f"dec{i}.cross_") for i in range(self.config.n_layers_dec)]
+        kv = [self._project(enc.memory, f"dec{i}.cross_", "wk", "wv") for i in range(self.config.n_layers_dec)]
         return kv, enc.pad_mask.reshape(b, 1, 1, s)
 
     def _decode(
         self,
         tgt_ids: np.ndarray,
         start: int,
-        cross: tuple[list[tuple[Tensor, Tensor]], np.ndarray],
+        cross: tuple[list[list[Tensor]], np.ndarray],
         self_keep: np.ndarray | None,
         cache: list[tuple[Tensor, Tensor] | None] | None = None,
     ) -> Tensor:
         """(B, T, V) logits for target ids at positions `start`, `start+1`, ...
 
-        With `cache`, each layer's self-attention keys and values are
-        appended to that layer's cached ones and attended in full, so a
+        With `cache`, each layer's (B, T, D) self-attention keys and values
+        are appended to that layer's cached ones and attended in full, so a
         greedy step pushes only its new position through the decoder.
         """
         cfg = self.config
@@ -356,20 +342,17 @@ class DebuggerModel:
         x = ad.embedding_lookup(self.params["tgt_embed"], tgt_ids)
         x = ad.add(x, ad.slice_(self.params["pos_dec"], slice(start, start + t)))
         for i in range(cfg.n_layers_dec):
-            pre = ad.layer_norm(x)
-            q = self._heads(pre, f"dec{i}.self_wq")
-            k, v = self._project_kv(pre, f"dec{i}.self_")
+            q, k, v = self._project(ad.layer_norm(x), f"dec{i}.self_", "wq", "wk", "wv")
             if cache is not None:
                 if cache[i] is not None:
-                    k = ad.concat([cache[i][0], k], axis=2)
-                    v = ad.concat([cache[i][1], v], axis=2)
+                    k = ad.concat([cache[i][0], k], axis=1)
+                    v = ad.concat([cache[i][1], v], axis=1)
                 cache[i] = (k, v)
             x = ad.add(x, self._attend(q, k, v, f"dec{i}.self_", self_keep))
-            q = self._heads(ad.layer_norm(x), f"dec{i}.cross_wq")
+            q = ad.linear(ad.layer_norm(x), self.params[f"dec{i}.cross_wq"])
             x = ad.add(x, self._attend(q, *cross_kv[i], f"dec{i}.cross_", cross_keep))
             x = ad.add(x, self._feed_forward(ad.layer_norm(x), f"dec{i}."))
-        x = ad.layer_norm(x)
-        return ad.add(ad.matmul(x, self.params["out_w"]), self.params["out_b"])
+        return ad.linear(ad.layer_norm(x), self.params["out_w"], self.params["out_b"])
 
     def generate(self, enc: EncoderOutput, max_len: int | None = None) -> list[int]:
         """Greedy decode for a single-row encoder output; END is stripped.

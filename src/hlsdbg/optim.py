@@ -21,8 +21,11 @@ def clip_global_norm(params: dict[str, Tensor], max_norm: float) -> float:
     """Scale all gradients so their joint L2 norm is at most `max_norm`."""
     total = 0.0
     for p in params.values():
-        if p.grad is not None:
-            total += float((p.grad.astype(np.float64) ** 2).sum())
+        g = p.grad
+        if g is not None:
+            # `vdot` squares and sums without a temporary; f32 is upcast to sum in f64
+            g = g if g.dtype == np.float64 else g.astype(np.float64)
+            total += float(np.vdot(g, g))
     norm = float(np.sqrt(total))
     if max_norm > 0 and norm > max_norm:
         factor = max_norm / norm

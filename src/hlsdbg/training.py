@@ -428,7 +428,8 @@ def parse_config_text(text: str) -> tuple[dict, dict, dict]:
     """`key = value` lines into (train, model, loss) keyword dicts.
 
     Prefix `model.` routes to ModelConfig, `loss.` to LossWeights; anything
-    else must be a TrainConfig field. `#` starts a comment.
+    else must be a TrainConfig field. `#` starts a comment. Only a line feed
+    ends a line, as in the lexer.
     """
     train_fields = set(TrainConfig.__dataclass_fields__)
     model_fields = set(ModelConfig.__dataclass_fields__) - {"vocab_size", "n_bug_types"}  # fixed by the data
@@ -436,7 +437,7 @@ def parse_config_text(text: str) -> tuple[dict, dict, dict]:
     train_kw: dict = {}
     model_kw: dict = {}
     loss_kw: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -141,6 +141,16 @@ def _primitive_checks(rng) -> float:
     p = Tensor(np.abs(rng.normal(size=(3, 3))) + 0.5, requires_grad=True)
     run(lambda: ad.sum_(ad.log(p)), p)
     run(lambda: ad.sum_(ad.exp(ad.scale(a, 0.3))), a)
+    bias, lw = t(2), Tensor(rng.normal(size=(2, 3, 2)))
+    run(lambda: ad.sum_(ad.mul(ad.linear(bm, m2, bias), lw)), bm, m2, bias)
+    sliced = (slice(None), slice(1, None))  # not contiguous
+    run(lambda: ad.sum_(ad.mul(ad.linear(ad.slice_(bm, sliced), m2), ad.slice_(lw, sliced))), bm, m2)
+    q, k, v = t(2, 3, 4), t(2, 5, 4), t(2, 5, 4)
+    keep = np.ones((2, 1, 1, 5))
+    keep[1, 0, 0, 3:] = 0.0
+    aw = Tensor(rng.normal(size=(2, 3, 4)))
+    for mask in (None, keep):
+        run(lambda: ad.sum_(ad.mul(ad.attention(q, k, v, 2, mask), aw)), q, k, v)
     return worst
 
 

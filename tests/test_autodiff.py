@@ -56,10 +56,30 @@ class TestForward:
             y = ad.softplus(_t([800.0, -800.0]))
         assert np.allclose(y.data, [800.0, 0.0])
 
-    def test_mask_logits_pushes_masked_entries_down(self):
-        out = ad.mask_logits(_t([[1.0, 2.0]]), np.array([[1.0, 0.0]]))
-        assert out.data[0, 0] == 1.0
-        assert out.data[0, 1] < -1e8
+    def test_linear_matches_matmul_plus_bias(self):
+        x, w, b = _rand((2, 3, 4), 40), _rand((4, 5), 41), _rand((5,), 42)
+        out = ad.linear(x, w, b)
+        assert out.shape == (2, 3, 5)
+        np.testing.assert_allclose(out.data, x.data @ w.data + b.data, rtol=1e-14, atol=1e-14)
+        # one row of a batch is the GEMM `matmul` runs, so batch-1 floats do not move
+        one = Tensor(x.data[:1])
+        assert np.array_equal(ad.linear(one, w, b).data, ad.add(ad.matmul(one, w), b).data)
+
+    def test_attention_matches_unfused_primitives(self):
+        # the fused forward runs the same numpy ops in the same order, so the floats agree bit for bit
+        q, k, v = _rand((2, 3, 4), 43), _rand((2, 5, 4), 44), _rand((2, 5, 4), 45)
+        keep = np.ones((2, 1, 1, 5))
+        keep[1, 0, 0, 3:] = 0.0
+
+        def heads(x):
+            return ad.transpose(ad.reshape(x, (2, x.shape[1], 2, 2)), (0, 2, 1, 3))
+
+        scores = ad.scale(ad.matmul(heads(q), ad.transpose(heads(k), (0, 1, 3, 2))), 1.0 / np.sqrt(2.0))
+        attn = ad.softmax(ad.add(scores, (1.0 - keep) * -1e9), axis=-1)
+        want = ad.reshape(ad.transpose(ad.matmul(attn, heads(v)), (0, 2, 1, 3)), (2, 3, 4))
+        got = ad.attention(q, k, v, 2, keep)
+        assert np.array_equal(got.data, want.data)
+        assert np.all(attn.data[1, :, :, 3:] < 1e-300)
 
     def test_embedding_lookup_picks_rows(self):
         table = _t([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
@@ -101,12 +121,12 @@ class TestBackward:
         backward(tape, loss)
         assert y.grad is None
 
-    def test_mask_logits_passes_gradient_through(self):
-        x = _t([[1.0, 2.0, 3.0]])
+    def test_fused_primitives_record_one_node(self):
+        x, w, b = _rand((2, 3, 4), 46), _rand((4, 4), 47), _rand((4,), 48)
         with Tape() as tape:
-            loss = ad.sum_(ad.mask_logits(x, np.array([[1.0, 0.0, 1.0]])))
-        backward(tape, loss)
-        assert np.array_equal(x.grad, np.ones((1, 3)))
+            y = ad.linear(x, w, b)
+            ad.attention(y, y, y, 2, None)
+        assert len(tape.nodes) == 2
 
     def test_non_scalar_loss_rejected(self):
         x = _t([1.0, 2.0])
@@ -128,6 +148,11 @@ class TestBackward:
             ad.add(a, b)
         with pytest.raises(ValueError):
             ad.matmul(Tensor(np.ones((2, 2), np.float32)), Tensor(np.ones((2, 2), np.float64)))
+        x, w = Tensor(np.ones((1, 2, 2))), Tensor(np.ones((2, 2)))
+        with pytest.raises(ValueError):
+            ad.linear(x, w, Tensor(np.ones(2, np.float32)))
+        with pytest.raises(ValueError):
+            ad.attention(x, x, Tensor(np.ones((1, 2, 2), np.float32)), 1, None)
 
     def test_check_finite_raises(self):
         with pytest.raises(NumericError):
@@ -233,6 +258,28 @@ class TestGradChecks:
     def test_log_exp(self):
         a = _rand((4,), 35)
         self.check(lambda: ad.sum_(ad.log(ad.add(ad.exp(a), 1.0))), [a])
+
+    def test_linear_3d_with_bias(self):
+        x, w, b = _rand((2, 3, 4), 50), _rand((4, 5), 51), _rand((5,), 52)
+        out_w = Tensor(np.linspace(-1.0, 1.0, 30).reshape(2, 3, 5))
+        self.check(lambda: ad.sum_(ad.mul(ad.linear(x, w, b), out_w)), [x, w, b])
+
+    def test_linear_on_sliced_input_without_bias(self):
+        big, w = _rand((2, 4, 3), 53), _rand((3, 2), 54)
+        out_w = Tensor(np.linspace(0.5, 2.0, 12).reshape(2, 3, 2))
+        # a slice past the first row of each batch is not contiguous
+        self.check(lambda: ad.sum_(ad.mul(ad.linear(ad.slice_(big, (slice(None), slice(1, None))), w), out_w)),
+                   [big, w])
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_attention(self, masked):
+        q, k, v = _rand((2, 3, 4), 55), _rand((2, 5, 4), 56), _rand((2, 5, 4), 57)
+        keep = None
+        if masked:
+            keep = np.ones((2, 1, 1, 5))
+            keep[0, 0, 0, 4] = keep[1, 0, 0, 2:] = 0.0
+        out_w = Tensor(np.linspace(-1.5, 1.5, 24).reshape(2, 3, 4))
+        self.check(lambda: ad.sum_(ad.mul(ad.attention(q, k, v, 2, keep), out_w)), [q, k, v])
 
     def test_small_transformer_block_composite(self):
         x = _rand((2, 4), 36, scale=0.5)

@@ -431,6 +431,7 @@ class TestTrainSettings:
         "lr = -1", "batch_size = 0", "epochs = 1.5", "seed = abc", "clip_norm = x", "lr = nan",
         "model.d_model = 255", "model.dtype = f16", "model.n_heads = 0", "model.max_src_len = 1",
         "model.d_ff = 2.0", "model.vocab_size = 9", "model.n_bug_types = 3", "loss.alpha_true = x",
+        "epochs = 3\x1cseed = 4",  # one line, so `epochs` is not an int
     ])
     def test_config_line(self, tmp_path, records_path, line, capsys):
         cfg = tmp_path / "tiny.cfg"
@@ -614,6 +615,21 @@ def test_debug_prints_lines_as_the_lexer_counts_them(tmp_path, model_path, capsy
     assert shown == {"1": "int a;", "2": "int b = 1;"}
 
 
+def test_debug_out_changes_only_the_splice(tmp_path, model_path, capsys):
+    # CRLF line ends and a lone `\r` outside the splice survive byte for byte
+    raw = b"int a;\r\nint b = 1;\r\nint c = 2;\r\nint d;\r"
+    source, fixed = tmp_path / "kernel.c", tmp_path / "fixed.c"
+    source.write_bytes(raw)
+    assert _run(["debug", str(source), "--model", str(model_path), "--out", str(fixed)]) == 0
+    lo, hi = json.loads((tmp_path / "fixed.c.manifest.json").read_text())["counts"]["span"]
+    tokens = lex(raw.decode()).tokens
+    a, b = tokens[lo].byte_start, tokens[hi - 1].byte_end
+    out = fixed.read_bytes()
+    assert out[:a] == raw[:a]
+    assert out[len(out) - (len(raw) - b):] == raw[b:]
+    assert out.count(b"\r") == raw[:a].count(b"\r") + raw[b:].count(b"\r")
+
+
 def _run_quiet(argv):
     """(exit code, stderr) of one CLI run, stdout discarded."""
     err = io.StringIO()
@@ -659,6 +675,7 @@ config_line = st.one_of(
 
 @given(st.lists(config_line, max_size=5))
 @example(["loss.alpha_false = 0"])  # max_src_len 32 cuts off every flagged token
+@example(["epochs = 3\x1cseed = 4"])  # one line: `\x1c` ends a line for `str.splitlines` only
 @settings(max_examples=60, deadline=None)
 def test_train_exits_cleanly_on_any_config_text(lines):
     with tempfile.TemporaryDirectory() as tmp:
@@ -817,7 +834,7 @@ _debug_text = st.lists(
 debug_source = st.one_of(
     st.one_of(_debug_text, spliced_kernel).map(lambda s: s.encode("utf-8", "surrogatepass")),
     st.binary(max_size=80),
-    st.tuples(spliced_kernel, st.binary(min_size=1, max_size=4)).map(lambda t: t[0].encode() + t[1]),
+    st.tuples(spliced_kernel, st.binary(min_size=1, max_size=4)).map(lambda t: t[0].encode("utf-8", "surrogatepass") + t[1]),
 )
 
 

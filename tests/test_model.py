@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,10 @@ from hlsdbg.metrics import evaluate
 from hlsdbg.mutate import generate_corpus
 from hlsdbg.synth import make_corpus
 from hlsdbg.training import _build_batch
+
+
+TOY_CORPUS = Path(__file__).resolve().parents[1] / "data" / "toy_corpus"
+TOY_PREDICTIONS_SHA256 = "f26cad8c8f5db43481b7067af094ff4004d01cc1bb6450b8b19da256f802a768"
 
 
 @pytest.fixture(scope="module")
@@ -446,6 +452,24 @@ class TestRecordApi:
         assert ids and all(i == Vocab.UNK for i in ids)
         words = ["?" if i == Vocab.UNK else m.vocab.id_to_token[i] for i in ids]
         assert set(words) == {"?"}
+
+    def test_toy_predictions_are_pinned(self):
+        # token probabilities, type logits and generated ids of a seeded f64
+        # model on every toy kernel, plain and with a known span, must not
+        # move a bit when the model's arithmetic is reorganised
+        kernels = [p.read_text() for p in sorted(TOY_CORPUS.glob("*.c"))]
+        vocab = Vocab.build(lex(code).texts() for code in kernels)
+        m = DebuggerModel(_tiny_config(vocab, n_layers_enc=2, n_layers_dec=2, n_heads=4), vocab, seed=7)
+        h = hashlib.sha256()
+        for code in kernels:
+            n = lex(code).n_tokens
+            for span in (None, (n // 3, n // 3 + 4)):
+                pred = m.predict_source(code, span)
+                h.update(pred.token_probs.tobytes())
+                h.update(pred.type_logits.tobytes())
+                h.update(np.array(pred.generated_ids, dtype=np.int64).tobytes())
+        assert len(kernels) == 11
+        assert h.hexdigest() == TOY_PREDICTIONS_SHA256
 
     def test_target_ids_end_terminated(self, model, records):
         tgt = model.target_ids(records[0])
