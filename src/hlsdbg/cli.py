@@ -30,6 +30,7 @@ from .corpus import (
     ingest,
     read_jsonl,
     read_samples_jsonl,
+    read_text,
     write_jsonl,
     write_samples_jsonl,
 )
@@ -77,14 +78,6 @@ def _write_manifest(
         notes=notes or [],
     )
     _manifest_path(out).write_text(manifest.to_json())
-
-
-def _read_text(path: str | Path) -> str:
-    """The file's text as strict UTF-8, with its line endings untranslated."""
-    try:
-        return Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: invalid UTF-8 ({exc.reason})") from None
 
 
 def _load_sample_pairs(args) -> list[tuple[str, str]]:
@@ -158,7 +151,7 @@ def _cmd_dedup(args, argv) -> int:
 def _train_setup(args):
     train_kw, model_kw, loss_kw = {}, {}, {}
     if args.config:
-        train_kw, model_kw, loss_kw = parse_config_text(_read_text(args.config))
+        train_kw, model_kw, loss_kw = parse_config_text(read_text(args.config))
     for key in ("epochs", "batch_size", "lr", "seed", "checkpoint_every", "given_location_fraction"):
         value = getattr(args, key)
         if value is not None:
@@ -244,7 +237,7 @@ def _cmd_eval(args, argv) -> int:
 
 def _cmd_debug(args, argv) -> int:
     model = DebuggerModel.load(args.model)
-    code = _read_text(args.source)
+    code = read_text(args.source)
     pred = model.predict_source(code)
     probs = pred.token_probs
     if probs.shape[0] == 0:

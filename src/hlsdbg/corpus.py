@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import json
 import random
+import re
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -68,9 +69,9 @@ def ingest(
             report.excluded[ext or "<none>"] += 1
             continue
         try:
-            text = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            report.warnings.append(f"unreadable {path}: {exc}")
+            text = read_text(path)
+        except (OSError, DataError) as exc:
+            report.warnings.append(f"unreadable: {exc}")
             continue
         rel = path.relative_to(root).as_posix()
         chunks = _split_file(text, split_markers)
@@ -89,6 +90,15 @@ def ingest(
     return samples, report
 
 
+def read_text(path: str | Path) -> str:
+    """The file's text as strict UTF-8, with its line endings untranslated."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: invalid UTF-8 ({exc.reason})") from None
+
+
 def _split_file(text: str, markers: tuple[str, str] | None) -> list[str]:
     if markers is None:
         return [text]
@@ -97,7 +107,7 @@ def _split_file(text: str, markers: tuple[str, str] | None) -> list[str]:
         return [text]
     chunks = []
     current: list[str] | None = None
-    for line in text.splitlines(keepends=True):
+    for line in re.findall(r"[^\n]*\n|[^\n]+", text):  # only a line feed ends a line, as in the lexer
         if current is None:
             if begin in line:
                 current = []
@@ -360,17 +370,12 @@ def split(records: Sequence[BugRecord], ratio: float, seed: int) -> SplitResult:
             train.extend(bucket)
         else:
             held_out.extend(bucket)
-    if len(order) >= 2:
-        if not held_out:
-            moved = groups[order[-1]]
-            train = train[: len(train) - len(moved)]
-            held_out = moved
-            warnings.append("moved one group to held-out to keep both sides non-empty")
-        elif not train:
-            moved = groups[order[0]]
-            held_out = held_out[len(moved):]
-            train = moved
-            warnings.append("moved one group to train to keep both sides non-empty")
+    # the first group always goes to train, so only held-out can be empty
+    if len(order) >= 2 and not held_out:
+        moved = groups[order[-1]]
+        train = train[: len(train) - len(moved)]
+        held_out = moved
+        warnings.append("moved one group to held-out to keep both sides non-empty")
     return SplitResult(train=train, held_out=held_out, warnings=warnings)
 
 

@@ -14,7 +14,7 @@ import random
 import re
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol
 
 import requests
@@ -27,34 +27,36 @@ _CODE_OPEN = "<<<CODE"
 _CODE_CLOSE = "CODE>>>"
 
 
-@dataclass(frozen=True)
-class PromptTemplates:
-    """The three prompt bodies; `{code}` etc. are filled per sample."""
+# the three prompt bodies; `{code}` etc. are filled per sample, and the stub
+# client answers each by its `[TASK: ...]` first line
+P_FUNCTION = (
+    "[TASK: describe]\n"
+    "Summarize in one sentence what this hardware kernel computes.\n"
+    f"{_CODE_OPEN}\n{{code}}\n{_CODE_CLOSE}\n"
+    "Answer as `FUNCTION: <summary>`.\n"
+)
+P_INSERT = (
+    "[TASK: insert-bug]\n"
+    "The kernel below does the following: {function_note}\n"
+    "Introduce one realistic logic bug by rewriting a short snippet.\n"
+    f"{_CODE_OPEN}\n{{code}}\n{_CODE_CLOSE}\n"
+    "Answer with exactly three lines:\n"
+    "TYPE: <one of OOB INIT SHFT INF USE MLU ZERO BUF>\n"
+    "CORRECT: <the snippet as it appears in the kernel>\n"
+    "BUGGY: <the rewritten snippet>\n"
+)
+P_STRATEGY = (
+    "[TASK: explain-fix]\n"
+    "A kernel was corrupted by replacing `{snippet_correct}` with "
+    "`{snippet_buggy}`.\n"
+    f"{_CODE_OPEN}\n{{code}}\n{_CODE_CLOSE}\n"
+    "Answer with two lines, `ANALYSIS: <what breaks>` and "
+    "`STRATEGY: <how to repair it>`.\n"
+)
 
-    p_function: str = (
-        "[TASK: describe]\n"
-        "Summarize in one sentence what this hardware kernel computes.\n"
-        f"{_CODE_OPEN}\n{{code}}\n{_CODE_CLOSE}\n"
-        "Answer as `FUNCTION: <summary>`.\n"
-    )
-    p_insert: str = (
-        "[TASK: insert-bug]\n"
-        "The kernel below does the following: {function_note}\n"
-        "Introduce one realistic logic bug by rewriting a short snippet.\n"
-        f"{_CODE_OPEN}\n{{code}}\n{_CODE_CLOSE}\n"
-        "Answer with exactly three lines:\n"
-        "TYPE: <one of OOB INIT SHFT INF USE MLU ZERO BUF>\n"
-        "CORRECT: <the snippet as it appears in the kernel>\n"
-        "BUGGY: <the rewritten snippet>\n"
-    )
-    p_strategy: str = (
-        "[TASK: explain-fix]\n"
-        "A kernel was corrupted by replacing `{snippet_correct}` with "
-        "`{snippet_buggy}`.\n"
-        f"{_CODE_OPEN}\n{{code}}\n{_CODE_CLOSE}\n"
-        "Answer with two lines, `ANALYSIS: <what breaks>` and "
-        "`STRATEGY: <how to repair it>`.\n"
-    )
+# an HTTP completion is tried this often, sleeping BACKOFF_S * 2**attempt between tries
+MAX_ATTEMPTS = 3
+BACKOFF_S = 0.5
 
 
 class CompletionClient(Protocol):
@@ -70,22 +72,18 @@ class HttpCompletionClient:
         model: str = "default",
         temperature: float = 0.0,
         token: str | None = None,
-        max_attempts: int = 3,
-        backoff: float = 0.5,
     ):
         self.endpoint = endpoint
         self.model = model
         self.temperature = temperature
         self.token = token
-        self.max_attempts = max_attempts
-        self.backoff = backoff
 
     def complete(self, prompt: str) -> str:
         headers = {}
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"
         last = None
-        for attempt in range(self.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             try:
                 resp = requests.post(
                     self.endpoint,
@@ -93,14 +91,18 @@ class HttpCompletionClient:
                     headers=headers,
                     timeout=60,
                 )
-                if resp.status_code == 200:
-                    return resp.json()["text"]
-                last = f"status {resp.status_code}"
+                if resp.status_code != 200:
+                    last = f"status {resp.status_code}"
+                else:
+                    body = resp.json()
+                    if isinstance(body, dict) and isinstance(body.get("text"), str):
+                        return body["text"]
+                    last = "reply is not a JSON object with a string `text`"
             except requests.RequestException as exc:
                 last = str(exc)
-            if attempt + 1 < self.max_attempts:
-                time.sleep(self.backoff * (2**attempt))
-        raise DataError(f"completion endpoint failed after {self.max_attempts} attempts: {last}")
+            if attempt + 1 < MAX_ATTEMPTS:
+                time.sleep(BACKOFF_S * (2**attempt))
+        raise DataError(f"completion endpoint failed after {MAX_ATTEMPTS} attempts: {last}")
 
 
 class StubCompletionClient:
@@ -224,21 +226,19 @@ def build_record(
 def generate_via_llm(
     samples: list[tuple[str, str]],
     client: CompletionClient,
-    templates: PromptTemplates | None = None,
     threads: int = 1,
 ) -> GenLlmReport:
     """One record per (id, code) sample through the three-step prompt chain."""
-    templates = templates or PromptTemplates()
     report = GenLlmReport(records=[], skipped=[])
 
     def run_one(job: tuple[str, str]) -> tuple[BugRecord | None, str | None, int]:
         sample_id, code = job
         calls = 0
-        note_text = client.complete(templates.p_function.format(code=code))
+        note_text = client.complete(P_FUNCTION.format(code=code))
         calls += 1
         function_note = _parse_tagged_line(note_text, "FUNCTION") or note_text.strip()
 
-        insert_prompt = templates.p_insert.format(code=code, function_note=function_note)
+        insert_prompt = P_INSERT.format(code=code, function_note=function_note)
         parsed = None
         for nudge in ("", "\nRespond with exactly the three TYPE/CORRECT/BUGGY lines.\n"):
             parsed = parse_insert_block(client.complete(insert_prompt + nudge))
@@ -254,7 +254,7 @@ def generate_via_llm(
             return None, "snippet pair does not splice into the sample", calls
 
         strategy_text = client.complete(
-            templates.p_strategy.format(
+            P_STRATEGY.format(
                 code=record.buggy_code,
                 snippet_correct=snippet_correct,
                 snippet_buggy=snippet_buggy,

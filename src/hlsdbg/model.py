@@ -47,12 +47,12 @@ class Vocab:
             raise ValueError("duplicate tokens in vocabulary")
 
     @classmethod
-    def build(cls, token_seqs: Iterable[Sequence[str]], min_freq: int = 1) -> "Vocab":
+    def build(cls, token_seqs: Iterable[Sequence[str]]) -> "Vocab":
         counts: Counter = Counter()
         for seq in token_seqs:
             counts.update(seq)
         kept = sorted(
-            (t for t, c in counts.items() if c >= min_freq and t not in cls.SPECIALS),
+            (t for t in counts if t not in cls.SPECIALS),
             key=lambda t: (-counts[t], t),
         )
         return cls(list(cls.SPECIALS) + kept)
@@ -84,7 +84,6 @@ class ModelConfig:
     max_tgt_len: int = 64
     head_mlp_layers: int = 3
     n_bug_types: int = len(BUG_TYPE_ORDER)
-    dropout: float = 0.0
     dtype: str = "f32"
 
     def __post_init__(self) -> None:
@@ -98,8 +97,6 @@ class ModelConfig:
             raise ValueError("max_src_len must leave room for a token after the pooled slot")
         if self.vocab_size < len(Vocab.SPECIALS):
             raise ValueError("vocab_size smaller than the reserved specials")
-        if self.dropout != 0.0:
-            raise ValueError("only dropout=0.0 is supported (deterministic training)")
         if self.dtype not in ("f32", "f64"):
             raise ValueError("dtype must be 'f32' or 'f64'")
 

@@ -621,14 +621,9 @@ def generate_for_sample(sample_id: str, code: str, per_sample: int, seed: int) -
                 continue
             site = queues[t].pop(rng.randrange(len(queues[t])))
             rec = inject(stream, site, _derive_seed(seed, k + 1))
-            rec = replace_id(rec, f"{sample_id}/{t.value.lower()}/{k}")
-            records.append(rec)
+            records.append(replace(rec, id=f"{sample_id}/{t.value.lower()}/{k}"))
             k += 1
     return records
-
-
-def replace_id(record: BugRecord, new_id: str) -> BugRecord:
-    return replace(record, id=new_id)
 
 
 def generate_corpus(

@@ -10,6 +10,11 @@ from .autodiff import Tensor
 from .errors import NumericError
 
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     m: dict[str, np.ndarray] = field(default_factory=dict)
@@ -35,14 +40,7 @@ def clip_global_norm(params: dict[str, Tensor], max_norm: float) -> float:
     return norm
 
 
-def adam_step(
-    params: dict[str, Tensor],
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update; parameters without grads are skipped."""
     state.t += 1
     t = state.t
@@ -58,10 +56,10 @@ def adam_step(
             state.v[name] = np.zeros_like(p.data)
         m = state.m[name]
         v = state.v[name]
-        m *= dt.type(beta1)
-        m += dt.type(1 - beta1) * g
-        v *= dt.type(beta2)
-        v += dt.type(1 - beta2) * (g * g)
-        m_hat = m / dt.type(1 - beta1**t)
-        v_hat = v / dt.type(1 - beta2**t)
-        p.data -= dt.type(lr) * m_hat / (np.sqrt(v_hat) + dt.type(eps))
+        m *= dt.type(BETA1)
+        m += dt.type(1 - BETA1) * g
+        v *= dt.type(BETA2)
+        v += dt.type(1 - BETA2) * (g * g)
+        m_hat = m / dt.type(1 - BETA1**t)
+        v_hat = v / dt.type(1 - BETA2**t)
+        p.data -= dt.type(lr) * m_hat / (np.sqrt(v_hat) + dt.type(EPS))

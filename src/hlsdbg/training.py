@@ -344,7 +344,6 @@ def resume(
     checkpoint: str | Path,
     records: Sequence[BugRecord],
     out_dir: str | Path | None = None,
-    stop_fn: Callable[[int, DebuggerModel], bool] | None = None,
     epochs: int | None = None,
 ) -> tuple[DebuggerModel, TrainResult]:
     """Continue a checkpointed run; the curve picks up where it left off.
@@ -359,7 +358,7 @@ def resume(
         raise DataError(
             f"checkpoint {checkpoint} ends at epoch {state.epoch}; epochs = {state.cfg.epochs} adds none"
         )
-    return state.model, _run(state, records, out_dir, stop_fn)
+    return state.model, _run(state, records, out_dir, None)
 
 
 def _run(state: TrainState, records: Sequence[BugRecord], out_dir: str | Path | None, stop_fn) -> TrainResult:
@@ -462,9 +461,6 @@ def parse_config_text(text: str) -> tuple[dict, dict, dict]:
 
 
 def _coerce(value: str):
-    low = value.lower()
-    if low in ("true", "false"):
-        return low == "true"
     try:
         return int(value)
     except ValueError:

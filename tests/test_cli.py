@@ -15,6 +15,7 @@ import hlsdbg.cli as cli
 from hlsdbg.corpus import read_jsonl, read_samples_jsonl, record_to_dict, write_jsonl
 from hlsdbg.errors import DataError, NumericError
 from hlsdbg.lexer import lex
+from hlsdbg.llmgen import MAX_ATTEMPTS
 from hlsdbg.model import DebuggerModel, ModelConfig, Vocab
 from hlsdbg.mutate import generate_corpus
 from hlsdbg.synth import make_corpus
@@ -432,6 +433,7 @@ class TestTrainSettings:
         "model.d_model = 255", "model.dtype = f16", "model.n_heads = 0", "model.max_src_len = 1",
         "model.d_ff = 2.0", "model.vocab_size = 9", "model.n_bug_types = 3", "loss.alpha_true = x",
         "epochs = 3\x1cseed = 4",  # one line, so `epochs` is not an int
+        "model.dropout = 0",
     ])
     def test_config_line(self, tmp_path, records_path, line, capsys):
         cfg = tmp_path / "tiny.cfg"
@@ -510,6 +512,24 @@ class TestResumeChecks:
         assert not (run / "model.bin").exists()
 
 
+@pytest.mark.parametrize("command", ["debug", "eval", "resume"])
+def test_model_file_with_dropout_is_rejected(tmp_path, request, model_path, records_path, command, capsys):
+    # files written while `ModelConfig` had a `dropout` field carry it in their config
+    path = request.getfixturevalue("checkpoint_path") if command == "resume" else model_path
+    _rewrite_header(path, lambda header: header["meta"]["config"].update(dropout=0.0))
+    source = tmp_path / "kernel.c"
+    source.write_text("int x = 1;\n")
+    argv = {
+        "debug": ["debug", source, "--model", path],
+        "eval": ["eval", "--model", path, "--records", records_path],
+        "resume": ["train", "--records", records_path, "--out-dir", tmp_path / "run", "--resume", path, "--epochs", "2"],
+    }[command]
+    assert _run([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hlsdbg: data error:") and err.count("\n") == 1
+    assert "dropout" in err
+
+
 class TestResumeFlags:
     """A run setting beside --resume would be ignored, so it is a usage error: exit 1, one stderr line."""
 
@@ -560,6 +580,22 @@ class TestGenLlm:
         assert _run(["gen-llm", "--synth", "2", "--seed", "7", "--out", str(a)]) == 0
         assert _run(["gen-llm", "--synth", "2", "--seed", "7", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("body", [{"txt": "x"}, ["a"], {"text": 5}],
+                             ids=["no-text", "not-an-object", "text-not-a-string"])
+    def test_malformed_endpoint_reply_is_data_error(self, tmp_path, monkeypatch, body, capsys):
+        class Resp:
+            status_code = 200
+
+            def json(self):
+                return body
+
+        posts = []
+        monkeypatch.setattr("hlsdbg.llmgen.requests.post", lambda *a, **k: posts.append(k) or Resp())
+        monkeypatch.setattr("hlsdbg.llmgen.time.sleep", lambda s: None)
+        argv = ["gen-llm", "--synth", "1", "--endpoint", "http://unit.test/v1", "--out", tmp_path / "llm.jsonl"]
+        _assert_data_exit(argv, capsys)
+        assert len(posts) == MAX_ATTEMPTS  # each malformed reply is one failed attempt
 
 
 # Arbitrary sample text: C-ish fragments, unterminated literals and comments,

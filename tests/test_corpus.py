@@ -89,6 +89,18 @@ class TestIngest:
         assert samples[0].code == "int a = 1;\n"
         assert samples[1].code == "int b = 2;\n"
 
+    @pytest.mark.parametrize("raw, markers, code", [
+        (b"int a;\r\nint b = 1;\r\n", None, "int a;\r\nint b = 1;\r\n"),
+        # a lone `\r` is whitespace to the lexer, not a line end
+        (b"int a;\rint b = 1;\n", None, "int a;\rint b = 1;\n"),
+        # only `\n` ends a marker line, so `\f` does not cut `int x;\f // END_KERNEL` in two
+        (b"BEGIN_KERNEL\nint y;\nint x;\x0c // END_KERNEL\n", ("BEGIN_KERNEL", "END_KERNEL"), "int y;\n"),
+    ], ids=["crlf", "lone-cr", "form-feed-in-marker-line"])
+    def test_text_is_read_untranslated_and_split_at_line_feeds(self, tmp_path, raw, markers, code):
+        (tmp_path / "k.c").write_bytes(raw)
+        samples, _ = ingest(tmp_path, split_markers=markers)
+        assert [s.code for s in samples] == [code]
+
     def test_marker_absent_keeps_whole_file(self, tmp_path):
         (tmp_path / "plain.c").write_text("int a = 1;\n")
         samples, _ = ingest(tmp_path, split_markers=("BEGIN_KERNEL", "END_KERNEL"))

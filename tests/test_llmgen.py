@@ -3,7 +3,6 @@ import pytest
 from hlsdbg.errors import DataError
 from hlsdbg.llmgen import (
     HttpCompletionClient,
-    PromptTemplates,
     StubCompletionClient,
     build_record,
     generate_via_llm,
@@ -146,12 +145,6 @@ class TestGenerateViaLlm:
         assert report.records == []
         assert report.skipped[0][0] == "empty"
 
-    def test_custom_templates_used(self):
-        templates = PromptTemplates(p_function="DESCRIBE {code}")
-        client = ScriptedClient(["FUNCTION: y.", "garbage", "garbage"])
-        generate_via_llm([("s", SRC)], client, templates=templates)
-        assert client.prompts[0] == f"DESCRIBE {SRC}"
-
 
 class TestHttpClient:
     def test_posts_payload_and_returns_text(self, monkeypatch):
@@ -200,6 +193,6 @@ class TestHttpClient:
 
         monkeypatch.setattr("hlsdbg.llmgen.requests.post", lambda *a, **k: Resp())
         monkeypatch.setattr("hlsdbg.llmgen.time.sleep", lambda s: None)
-        client = HttpCompletionClient("http://unit.test/v1", max_attempts=3)
+        client = HttpCompletionClient("http://unit.test/v1")
         with pytest.raises(DataError):
             client.complete("p")

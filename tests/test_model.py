@@ -73,11 +73,6 @@ class TestVocab:
         v = Vocab.build([["b", "a", "a", "c", "b", "a"]])
         assert v.id_to_token[7:] == ["a", "b", "c"]
 
-    def test_min_freq_filters(self):
-        v = Vocab.build([["x", "x", "y"]], min_freq=2)
-        assert "y" not in v.token_to_id
-        assert v.encode(["y"]) == [Vocab.UNK]
-
     def test_encode_decode_round_trip(self, vocab, records):
         texts = lex(records[0].buggy_code).texts()
         assert vocab.decode(vocab.encode(texts)) == list(texts)
@@ -101,10 +96,6 @@ class TestModelConfig:
     def test_head_divisibility_enforced(self, vocab):
         with pytest.raises(ValueError):
             _tiny_config(vocab, d_model=30, n_heads=4)
-
-    def test_dropout_must_be_zero(self, vocab):
-        with pytest.raises(ValueError):
-            _tiny_config(vocab, dropout=0.1)
 
     def test_dtype_validated(self, vocab):
         with pytest.raises(ValueError):
