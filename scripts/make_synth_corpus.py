@@ -31,12 +31,14 @@ def main() -> int:
           f"({len(report.skipped)} skipped)")
 
     counts = {"kernels": args.kernels, "records": len(report.records)}
+    notes = []
     if args.held_out_ratio > 0:
         parts = split(report.records, ratio=1.0 - args.held_out_ratio, seed=args.seed)
         write_jsonl(parts.train, args.out_dir / "train.jsonl")
         write_jsonl(parts.held_out, args.out_dir / "held_out.jsonl")
         counts["train"] = len(parts.train)
         counts["held_out"] = len(parts.held_out)
+        notes = parts.warnings
         print(f"split: {len(parts.train)} train / {len(parts.held_out)} held out")
     else:
         write_jsonl(report.records, args.out_dir / "records.jsonl")
@@ -47,6 +49,7 @@ def main() -> int:
         seed=args.seed,
         counts=counts,
         histogram={t.name: c for t, c in sorted(report.histogram.items(), key=lambda kv: kv[0].name)},
+        notes=notes,
     )
     (args.out_dir / "manifest.json").write_text(manifest.to_json())
     return 0

@@ -36,10 +36,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -337,17 +333,6 @@ def gelu(a: Tensor) -> Tensor:
     return _record(out, (a,), bwd)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    y = 1.0 / (1.0 + np.exp(-np.abs(a.data)))
-    y = np.where(a.data >= 0, y, 1.0 - y)
-    out = Tensor(y.astype(a.dtype, copy=False))
-
-    def bwd(g):
-        return (g * out.data * (1.0 - out.data),)
-
-    return _record(out, (a,), bwd)
-
-
 def softplus(a: Tensor) -> Tensor:
     out = Tensor(np.logaddexp(a.dtype.type(0), a.data))
 
@@ -357,16 +342,6 @@ def softplus(a: Tensor) -> Tensor:
         return (g * s,)
 
     return _record(out, (a,), bwd)
-
-
-def log(a: Tensor) -> Tensor:
-    out = Tensor(np.log(a.data))
-    return _record(out, (a,), lambda g: (g / a.data,))
-
-
-def exp(a: Tensor) -> Tensor:
-    out = Tensor(np.exp(a.data))
-    return _record(out, (a,), lambda g: (g * out.data,))
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, keep: np.ndarray | None) -> Tensor:

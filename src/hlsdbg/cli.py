@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage error, 2 malformed data, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import shlex
 import sys
@@ -48,12 +49,38 @@ NUMERIC_EXIT = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant whose usage failures exit with code 1, not 2."""
+    """argparse variant whose usage failures print one stderr line and exit with code 1, not 2."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_EXIT)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return value
 
 
 def _manifest_path(out: str | Path) -> Path:
@@ -331,8 +358,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("inject", help="manufacture labeled bug records")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--samples", help="samples jsonl from `ingest`")
-    src.add_argument("--synth", type=int, metavar="N", help="use N built-in synthetic kernels")
-    p.add_argument("--per-sample", type=int, default=1)
+    src.add_argument("--synth", type=_positive_int, metavar="N", help="use N built-in synthetic kernels")
+    p.add_argument("--per-sample", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_inject)
@@ -340,7 +367,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("dedup", help="drop samples overlapping a benchmark")
     p.add_argument("--samples", required=True)
     p.add_argument("--benchmark", required=True, help="samples jsonl to compare against")
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=_finite_float, default=0.5)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_dedup)
 
@@ -362,26 +389,26 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--records", required=True)
     p.add_argument("--given-location", action="store_true")
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=_finite_float, default=0.5)
     p.add_argument("--out-csv", default=None)
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("debug", help="localize and propose a fix for a raw source file")
     p.add_argument("source", help="C/C++ file to analyze")
     p.add_argument("--model", required=True)
-    p.add_argument("--top", type=int, default=5)
+    p.add_argument("--top", type=_positive_int, default=5)
     p.add_argument("--out", default=None, help="write the spliced corrected file here")
     p.set_defaults(fn=_cmd_debug)
 
     p = sub.add_parser("gen-llm", help="build records through a completion client")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--samples")
-    src.add_argument("--synth", type=int, metavar="N")
+    src.add_argument("--synth", type=_positive_int, metavar="N")
     p.add_argument("--endpoint", default=None, help="completion URL; omit to use the offline stub")
     p.add_argument("--model-name", default="default")
-    p.add_argument("--temperature", type=float, default=0.0)
+    p.add_argument("--temperature", type=_non_negative_float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_gen_llm)
 

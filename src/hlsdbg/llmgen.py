@@ -10,14 +10,14 @@ endpoint in tests and offline runs.
 
 from __future__ import annotations
 
+import json
 import random
 import re
 import time
 import zlib
 from dataclasses import dataclass
 from typing import Protocol
-
-import requests
+from urllib.parse import urlsplit
 
 from .errors import DataError
 from .lexer import lex
@@ -64,7 +64,7 @@ class CompletionClient(Protocol):
 
 
 class HttpCompletionClient:
-    """POSTs prompts to a completion endpoint returning `{"text": ...}`."""
+    """POSTs prompts to an http(s) completion endpoint returning `{"text": ...}`."""
 
     def __init__(
         self,
@@ -73,32 +73,41 @@ class HttpCompletionClient:
         temperature: float = 0.0,
         token: str | None = None,
     ):
+        # urllib would also open file: and ftp: URLs
+        if urlsplit(endpoint).scheme not in ("http", "https"):
+            raise DataError(f"completion endpoint {endpoint!r} is not an http or https URL")
         self.endpoint = endpoint
         self.model = model
         self.temperature = temperature
         self.token = token
 
     def complete(self, prompt: str) -> str:
-        headers = {}
+        # imported here, not at module top, so that every other command skips loading the TLS stack
+        import http.client
+        import urllib.error
+        import urllib.request
+
+        body = json.dumps({"model": self.model, "prompt": prompt, "temperature": self.temperature}).encode()
+        headers = {"Content-Type": "application/json"}
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"
+        request = urllib.request.Request(self.endpoint, data=body, headers=headers, method="POST")
         last = None
         for attempt in range(MAX_ATTEMPTS):
             try:
-                resp = requests.post(
-                    self.endpoint,
-                    json={"model": self.model, "prompt": prompt, "temperature": self.temperature},
-                    headers=headers,
-                    timeout=60,
-                )
-                if resp.status_code != 200:
-                    last = f"status {resp.status_code}"
+                with urllib.request.urlopen(request, timeout=60) as resp:
+                    status, raw = resp.status, resp.read()
+                if status != 200:
+                    last = f"status {status}"
                 else:
-                    body = resp.json()
-                    if isinstance(body, dict) and isinstance(body.get("text"), str):
-                        return body["text"]
+                    reply = json.loads(raw)
+                    if isinstance(reply, dict) and isinstance(reply.get("text"), str):
+                        return reply["text"]
                     last = "reply is not a JSON object with a string `text`"
-            except requests.RequestException as exc:
+            except urllib.error.HTTPError as exc:
+                exc.close()
+                last = f"status {exc.code}"
+            except (OSError, http.client.HTTPException, ValueError) as exc:
                 last = str(exc)
             if attempt + 1 < MAX_ATTEMPTS:
                 time.sleep(BACKOFF_S * (2**attempt))

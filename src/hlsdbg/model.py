@@ -99,6 +99,9 @@ class ModelConfig:
             raise ValueError("vocab_size smaller than the reserved specials")
         if self.dtype not in ("f32", "f64"):
             raise ValueError("dtype must be 'f32' or 'f64'")
+        # kept as a field so that existing model files load; the type head has one logit per bug type
+        if self.n_bug_types != len(BUG_TYPE_ORDER):
+            raise ValueError(f"n_bug_types must be {len(BUG_TYPE_ORDER)}, one per bug type")
 
     @property
     def np_dtype(self):

@@ -46,11 +46,6 @@ class TestForward:
         x = _rand((2, 7), 2)
         assert np.allclose(ad.log_softmax(x).data, np.log(ad.softmax(x).data))
 
-    def test_sigmoid_is_stable_at_extremes(self):
-        with np.errstate(over="raise"):
-            y = ad.sigmoid(_t([1000.0, -1000.0, 0.0]))
-        assert np.allclose(y.data, [1.0, 0.0, 0.5])
-
     def test_softplus_is_stable_at_extremes(self):
         with np.errstate(over="raise"):
             y = ad.softplus(_t([800.0, -800.0]))
@@ -247,17 +242,9 @@ class TestGradChecks:
         a = _rand((4, 3), 32)
         self.check(lambda: ad.sum_(ad.gelu(a)), [a])
 
-    def test_sigmoid(self):
-        a = _rand((5,), 33)
-        self.check(lambda: ad.sum_(ad.mul(ad.sigmoid(a), ad.sigmoid(a))), [a])
-
     def test_softplus(self):
         a = _rand((5,), 34)
         self.check(lambda: ad.sum_(ad.softplus(a)), [a])
-
-    def test_log_exp(self):
-        a = _rand((4,), 35)
-        self.check(lambda: ad.sum_(ad.log(ad.add(ad.exp(a), 1.0))), [a])
 
     def test_linear_3d_with_bias(self):
         x, w, b = _rand((2, 3, 4), 50), _rand((4, 5), 51), _rand((5,), 52)

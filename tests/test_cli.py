@@ -2,8 +2,12 @@ import contextlib
 import functools
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
+import urllib.request
 import warnings
 from pathlib import Path
 
@@ -97,6 +101,30 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             _run(command + ["--threads", "4", "--out", str(tmp_path / "o.jsonl")])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["inject", "--synth", "2", "--per-sample", "0"],
+        ["inject", "--synth", "-1"],
+        ["inject", "--synth", "x"],
+        ["gen-llm", "--synth", "2", "--threads", "-3"],
+        ["gen-llm", "--synth", "0"],
+        ["gen-llm", "--synth", "1", "--temperature", "-0.5"],
+        ["gen-llm", "--synth", "1", "--temperature", "nan"],
+        ["dedup", "--samples", "s.jsonl", "--benchmark", "b.jsonl", "--threshold", "nan"],
+        ["dedup", "--samples", "s.jsonl", "--benchmark", "b.jsonl", "--threshold", "inf"],
+        ["eval", "--model", "m.bin", "--records", "r.jsonl", "--threshold", "-inf"],
+        ["debug", "kernel.c", "--model", "m.bin", "--top", "-1"],
+        ["debug", "kernel.c", "--model", "m.bin", "--top", "0"],
+    ], ids=lambda argv: " ".join([argv[0], *argv[-2:]]))
+    def test_bad_count_or_number_is_usage_error(self, tmp_path, argv, capsys):
+        out = tmp_path / "o.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            _run(argv + ([] if argv[0] in ("eval", "debug") else ["--out", str(out)]))
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"hlsdbg {argv[0]}: error: argument ") and captured.err.count("\n") == 1
+        assert not out.exists()
 
     def test_version_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -512,11 +540,8 @@ class TestResumeChecks:
         assert not (run / "model.bin").exists()
 
 
-@pytest.mark.parametrize("command", ["debug", "eval", "resume"])
-def test_model_file_with_dropout_is_rejected(tmp_path, request, model_path, records_path, command, capsys):
-    # files written while `ModelConfig` had a `dropout` field carry it in their config
-    path = request.getfixturevalue("checkpoint_path") if command == "resume" else model_path
-    _rewrite_header(path, lambda header: header["meta"]["config"].update(dropout=0.0))
+def _load_model_file(command, path, tmp_path, records_path, capsys) -> str:
+    """Run `debug`, `eval` or `train --resume` (`command` "resume") on `path`; expect exit 2 and return stderr."""
     source = tmp_path / "kernel.c"
     source.write_text("int x = 1;\n")
     argv = {
@@ -527,7 +552,33 @@ def test_model_file_with_dropout_is_rejected(tmp_path, request, model_path, reco
     assert _run([str(a) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("hlsdbg: data error:") and err.count("\n") == 1
-    assert "dropout" in err
+    return err
+
+
+@pytest.mark.parametrize("command", ["debug", "eval", "resume"])
+def test_model_file_with_dropout_is_rejected(tmp_path, request, model_path, records_path, command, capsys):
+    # files written while `ModelConfig` had a `dropout` field carry it in their config
+    path = request.getfixturevalue("checkpoint_path") if command == "resume" else model_path
+    _rewrite_header(path, lambda header: header["meta"]["config"].update(dropout=0.0))
+    assert "dropout" in _load_model_file(command, path, tmp_path, records_path, capsys)
+
+
+@pytest.mark.parametrize("n", [0, 3])
+@pytest.mark.parametrize("command", ["debug", "eval", "resume"])
+def test_model_file_with_other_bug_type_count_is_rejected(tmp_path, request, model_path, records_path, command, n,
+                                                          capsys):
+    from hlsdbg.tensorstore import load_tensors, save_tensors
+
+    # a file saved as if `n_bug_types` were `n`, the type head's output shapes included
+    path = request.getfixturevalue("checkpoint_path") if command == "resume" else model_path
+    tensors, meta = load_tensors(path)
+    last = meta["config"]["head_mlp_layers"] - 1
+    for name in tensors:
+        if name.endswith((f"head_type.w{last}", f"head_type.b{last}")):
+            tensors[name] = tensors[name][..., :n]
+    meta["config"]["n_bug_types"] = n
+    save_tensors(path, tensors, meta=meta)
+    assert "n_bug_types must be 8" in _load_model_file(command, path, tmp_path, records_path, capsys)
 
 
 class TestResumeFlags:
@@ -584,18 +635,44 @@ class TestGenLlm:
     @pytest.mark.parametrize("body", [{"txt": "x"}, ["a"], {"text": 5}],
                              ids=["no-text", "not-an-object", "text-not-a-string"])
     def test_malformed_endpoint_reply_is_data_error(self, tmp_path, monkeypatch, body, capsys):
-        class Resp:
-            status_code = 200
+        class Reply:
+            status = 200
 
-            def json(self):
-                return body
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def read(self):
+                return json.dumps(body).encode()
 
         posts = []
-        monkeypatch.setattr("hlsdbg.llmgen.requests.post", lambda *a, **k: posts.append(k) or Resp())
+        monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout: posts.append(request) or Reply())
         monkeypatch.setattr("hlsdbg.llmgen.time.sleep", lambda s: None)
-        argv = ["gen-llm", "--synth", "1", "--endpoint", "http://unit.test/v1", "--out", tmp_path / "llm.jsonl"]
+        argv = ["gen-llm", "--synth", "1", "--endpoint", "http://127.0.0.1:9/v1", "--out", tmp_path / "llm.jsonl"]
         _assert_data_exit(argv, capsys)
         assert len(posts) == MAX_ATTEMPTS  # each malformed reply is one failed attempt
+
+    @pytest.mark.parametrize("endpoint", ["file:///etc/hosts", "ftp://127.0.0.1/v1", "127.0.0.1:8000/v1"])
+    def test_endpoint_that_is_not_http_is_data_error(self, tmp_path, monkeypatch, endpoint, capsys):
+        posts = []
+        monkeypatch.setattr(urllib.request, "urlopen", lambda *a, **k: posts.append(a))
+        out = tmp_path / "llm.jsonl"
+        assert _run(["gen-llm", "--synth", "1", "--endpoint", endpoint, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"hlsdbg: data error: completion endpoint {endpoint!r} is not an http or https URL\n"
+        assert posts == [] and not out.exists()
+
+
+def test_import_loads_no_http_stack():
+    # only `gen-llm --endpoint` speaks HTTP, so importing the CLI loads no HTTP or TLS module
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = "import hlsdbg.cli, sys; print(sorted({'requests', 'urllib3', 'http.client', 'ssl'} & set(sys.modules)))"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
 
 
 # Arbitrary sample text: C-ish fragments, unterminated literals and comments,

@@ -428,13 +428,23 @@ def test_manifest_round_trip_and_stability():
 
 def test_make_synth_corpus_manifest_records_version_and_invocation(tmp_path, monkeypatch):
     script = Path(__file__).resolve().parent.parent / "scripts" / "make_synth_corpus.py"
-    argv = ["--kernels", "4", "--per-sample", "2", "--seed", "3", "--held-out-ratio", "0.25",
-            "--out-dir", str(tmp_path / "corpus")]
-    monkeypatch.setattr(sys, "argv", [str(script), *argv])
     monkeypatch.setattr(hlsdbg, "__version__", "9.9.9")  # not a literal the script could carry
-    with pytest.raises(SystemExit) as exit_info:
-        runpy.run_path(str(script), run_name="__main__")
-    assert exit_info.value.code == 0
-    manifest = json.loads((tmp_path / "corpus" / "manifest.json").read_text())
+
+    def run(kernels: str, out_dir: Path) -> dict:
+        argv = ["--kernels", kernels, "--per-sample", "2", "--seed", "3", "--held-out-ratio", "0.25",
+                "--out-dir", str(out_dir)]
+        monkeypatch.setattr(sys, "argv", [str(script), *argv])
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_path(str(script), run_name="__main__")
+        assert exit_info.value.code == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["command"] == "make_synth_corpus " + shlex.join(argv)
+        return manifest
+
+    manifest = run("4", tmp_path / "corpus")
     assert manifest["version"] == "9.9.9"
-    assert manifest["command"] == "make_synth_corpus " + shlex.join(argv)
+    assert manifest["notes"] == []
+    # two kernels at ratio 0.75 put both groups in train, so split moves one back and says so
+    manifest = run("2", tmp_path / "two")
+    assert (manifest["counts"]["train"], manifest["counts"]["held_out"]) == (2, 2)
+    assert manifest["notes"] == ["moved one group to held-out to keep both sides non-empty"]

@@ -1,7 +1,15 @@
+import http.client
+import http.server
+import json
+import threading
+import urllib.error
+import urllib.request
+
 import pytest
 
 from hlsdbg.errors import DataError
 from hlsdbg.llmgen import (
+    MAX_ATTEMPTS,
     HttpCompletionClient,
     StubCompletionClient,
     build_record,
@@ -146,53 +154,129 @@ class TestGenerateViaLlm:
         assert report.skipped[0][0] == "empty"
 
 
+class FakeReply:
+    """What `urlopen` returns: a context manager with a status and a body."""
+
+    def __init__(self, status=200, body=b'{"text": "ok"}'):
+        self.status, self.body = status, body
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def read(self):
+        return self.body
+
+
+def _serve(monkeypatch, *outcomes):
+    """Make `urlopen` play `outcomes` in turn, each a factory of a reply or of an exception to raise.
+
+    Returns the `(request, timeout)` of each call and the backoff sleeps.
+    """
+    calls, sleeps, pending = [], [], list(outcomes)
+
+    def fake_urlopen(request, timeout=None):
+        calls.append((request, timeout))
+        outcome = pending.pop(0)()
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    monkeypatch.setattr("hlsdbg.llmgen.time.sleep", sleeps.append)
+    return calls, sleeps
+
+
+# loopback, so a client that bypassed the fake would get a refused connection, not reach a host
+URL = "http://127.0.0.1:9/v1"
+
+
+def _http_error(code):
+    return lambda: urllib.error.HTTPError(URL, code, "Server Error", {}, None)
+
+
 class TestHttpClient:
-    def test_posts_payload_and_returns_text(self, monkeypatch):
+    def test_posts_payload_and_returns_text(self):
         seen = {}
 
-        class FakeResp:
-            status_code = 200
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_POST(self):
+                body = self.rfile.read(int(self.headers["Content-Length"]))
+                seen.update(path=self.path, headers=dict(self.headers), body=json.loads(body))
+                reply = json.dumps({"text": "FUNCTION: ok."}).encode()
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(reply)))
+                self.end_headers()
+                self.wfile.write(reply)
 
-            def json(self):
-                return {"text": "FUNCTION: ok."}
+            def log_message(self, *args):
+                pass
 
-        def fake_post(url, json=None, headers=None, timeout=None):
-            seen.update(url=url, json=json, headers=headers)
-            return FakeResp()
+        server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=server.serve_forever)
+        thread.start()
+        try:
+            client = HttpCompletionClient(f"http://127.0.0.1:{server.server_port}/v1", model="m1", token="tok")
+            assert client.complete("hello") == "FUNCTION: ok."
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert seen["path"] == "/v1"
+        assert seen["body"] == {"model": "m1", "prompt": "hello", "temperature": 0.0}
+        assert seen["headers"]["Content-Type"] == "application/json"
+        assert seen["headers"]["Authorization"] == "Bearer tok"
 
-        monkeypatch.setattr("hlsdbg.llmgen.requests.post", fake_post)
-        client = HttpCompletionClient("http://unit.test/v1", model="m1", token="tok")
-        assert client.complete("hello") == "FUNCTION: ok."
-        assert seen["url"] == "http://unit.test/v1"
-        assert seen["json"] == {"model": "m1", "prompt": "hello", "temperature": 0.0}
-        assert seen["headers"] == {"Authorization": "Bearer tok"}
+    @pytest.mark.parametrize("token", ["tok", None])
+    def test_request_carries_payload_headers_and_timeout(self, monkeypatch, token):
+        calls, _ = _serve(monkeypatch, FakeReply)
+        client = HttpCompletionClient(URL, model="m1", temperature=0.7, token=token)
+        assert client.complete("p") == "ok"
+        [(request, timeout)] = calls
+        assert (request.full_url, request.get_method(), timeout) == (URL, "POST", 60)
+        assert json.loads(request.data) == {"model": "m1", "prompt": "p", "temperature": 0.7}
+        assert request.get_header("Content-type") == "application/json"
+        assert request.get_header("Authorization") == (f"Bearer {token}" if token else None)
 
     def test_retries_then_succeeds(self, monkeypatch):
-        calls = {"n": 0}
-
-        class Resp:
-            def __init__(self, code):
-                self.status_code = code
-
-            def json(self):
-                return {"text": "late"}
-
-        def fake_post(url, **kwargs):
-            calls["n"] += 1
-            return Resp(500 if calls["n"] == 1 else 200)
-
-        monkeypatch.setattr("hlsdbg.llmgen.requests.post", fake_post)
-        monkeypatch.setattr("hlsdbg.llmgen.time.sleep", lambda s: None)
-        client = HttpCompletionClient("http://unit.test/v1")
-        assert client.complete("p") == "late"
-        assert calls["n"] == 2
+        calls, sleeps = _serve(monkeypatch, _http_error(500), lambda: FakeReply(body=b'{"text": "late"}'))
+        assert HttpCompletionClient(URL).complete("p") == "late"
+        assert len(calls) == 2
+        assert sleeps == [0.5]
 
     def test_gives_up_after_max_attempts(self, monkeypatch):
-        class Resp:
-            status_code = 503
+        calls, sleeps = _serve(monkeypatch, *[_http_error(503)] * MAX_ATTEMPTS)
+        with pytest.raises(DataError, match="failed after 3 attempts: status 503"):
+            HttpCompletionClient(URL).complete("p")
+        assert len(calls) == MAX_ATTEMPTS
+        assert sleeps == [0.5, 1.0]
 
-        monkeypatch.setattr("hlsdbg.llmgen.requests.post", lambda *a, **k: Resp())
-        monkeypatch.setattr("hlsdbg.llmgen.time.sleep", lambda s: None)
-        client = HttpCompletionClient("http://unit.test/v1")
-        with pytest.raises(DataError):
-            client.complete("p")
+    @pytest.mark.parametrize("outcome, reason", [
+        (lambda: FakeReply(status=204, body=b""), "status 204"),
+        (lambda: FakeReply(body=b"<html>"), "Expecting value"),
+        (lambda: FakeReply(body=b'{"text": "\xff"}'), "can't decode"),
+        (lambda: FakeReply(body=b'["a"]'), "not a JSON object"),
+        (lambda: FakeReply(body=b'{"text": 5}'), "not a JSON object"),
+        (lambda: urllib.error.URLError(ConnectionRefusedError(111, "Connection refused")), "Connection refused"),
+        (lambda: TimeoutError("timed out"), "timed out"),
+        (lambda: http.client.BadStatusLine("HTTP/0.9 garbage"), "HTTP/0.9 garbage"),
+        (lambda: ValueError("unknown url type"), "unknown url type"),
+    ], ids=["status-204", "not-json", "not-utf8", "not-an-object", "text-not-a-string", "refused", "timeout",
+            "bad-status-line", "value-error"])
+    def test_each_failure_is_one_attempt(self, monkeypatch, outcome, reason):
+        calls, sleeps = _serve(monkeypatch, *[outcome] * MAX_ATTEMPTS)
+        with pytest.raises(DataError, match=f"failed after 3 attempts: .*{reason}"):
+            HttpCompletionClient(URL).complete("p")
+        assert len(calls) == MAX_ATTEMPTS
+        assert sleeps == [0.5, 1.0]
+
+    @pytest.mark.parametrize("endpoint", ["file:///etc/hosts", "ftp://127.0.0.1/v1", "127.0.0.1:8000/v1", ""])
+    def test_endpoint_must_be_http_or_https(self, monkeypatch, endpoint):
+        calls, _ = _serve(monkeypatch)
+        with pytest.raises(DataError, match="not an http or https URL"):
+            HttpCompletionClient(endpoint)
+        assert calls == []
