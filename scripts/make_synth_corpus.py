@@ -10,17 +10,29 @@ import sys
 from pathlib import Path
 
 from hlsdbg import __version__
+from hlsdbg.cli import _positive_int
 from hlsdbg.corpus import DatasetManifest, split, write_jsonl
 from hlsdbg.mutate import generate_corpus
 from hlsdbg.synth import make_corpus
 
 
+def _held_out_ratio(text: str) -> float:
+    """A ratio in [0, 1) that leaves `1 - ratio` strictly between 0 and 1, or 0 for no split."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not (value == 0.0 or 0.0 < 1.0 - value < 1.0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a ratio in [0, 1)")
+    return value
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--kernels", type=int, default=64)
-    ap.add_argument("--per-sample", type=int, default=4)
+    ap.add_argument("--kernels", type=_positive_int, default=64)
+    ap.add_argument("--per-sample", type=_positive_int, default=4)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--held-out-ratio", type=float, default=0.0)
+    ap.add_argument("--held-out-ratio", type=_held_out_ratio, default=0.0)
     ap.add_argument("--out-dir", type=Path, required=True)
     args = ap.parse_args()
 

@@ -179,7 +179,7 @@ def _train_setup(args):
     train_kw, model_kw, loss_kw = {}, {}, {}
     if args.config:
         train_kw, model_kw, loss_kw = parse_config_text(read_text(args.config))
-    for key in ("epochs", "batch_size", "lr", "seed", "checkpoint_every", "given_location_fraction"):
+    for key in ("epochs", "checkpoint_every"):
         value = getattr(args, key)
         if value is not None:
             train_kw[key] = value
@@ -190,7 +190,7 @@ def _train_setup(args):
 
 
 # run settings a checkpoint fixes; beside --resume they would be ignored
-_RESUME_FIXED = ("config", "batch_size", "lr", "seed", "checkpoint_every", "given_location_fraction", "model_seed")
+_RESUME_FIXED = ("config", "checkpoint_every", "model_seed")
 
 
 def _cmd_train(args, argv) -> int:
@@ -311,7 +311,7 @@ def _suspect_span(probs: np.ndarray) -> tuple[int, int]:
 
 def _cmd_gen_llm(args, argv) -> int:
     pairs = _load_sample_pairs(args)
-    if args.endpoint:
+    if args.endpoint is not None:
         client = HttpCompletionClient(
             args.endpoint,
             model=args.model_name,
@@ -377,11 +377,7 @@ def build_parser() -> _Parser:
     p.add_argument("--config", help="key = value file; model.* and loss.* prefixes supported")
     p.add_argument("--resume", help="checkpoint to continue from")
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--checkpoint-every", type=int, default=None)
-    p.add_argument("--given-location-fraction", type=float, default=None)
     p.add_argument("--model-seed", type=int, default=None, help="weight-init seed of a fresh model (default 0)")
     p.set_defaults(fn=_cmd_train)
 

@@ -1,7 +1,8 @@
 """Corpus plumbing: ingest, dedup, serialization, and splitting.
 
 Samples travel as (id, code, origin) triples; supervised records use the
-JSONL schema produced by the injector. Everything here is deterministic:
+JSONL schema produced by the injector, and every record read passes the
+injector's `check_record`. Everything here is deterministic:
 file discovery is sorted, dedup order-preserving, splits seeded.
 """
 
@@ -16,8 +17,9 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DataError, JsonlError
-from .mutate import BugRecord, BugType
+from .errors import DataError, JsonlError, LexError
+from .lexer import lex
+from .mutate import BugRecord, BugType, check_record
 
 SOURCE_EXTENSIONS = frozenset({".c", ".h", ".cpp", ".hpp", ".cc", ".cxx"})
 
@@ -232,6 +234,7 @@ def record_to_dict(record: BugRecord) -> dict:
 
 
 def record_from_dict(payload: dict, lineno: int = 0) -> BugRecord:
+    """The record a JSONL object holds; a JsonlError unless its fields are well typed and pass `check_record`."""
     notes = tuple(name for name in _OPTIONAL_FIELDS if payload.get(name) is not None)
     _check_fields(payload, _REQUIRED_FIELDS, _TEXT_FIELDS + notes, lineno)
     try:
@@ -248,7 +251,7 @@ def record_from_dict(payload: dict, lineno: int = 0) -> BugRecord:
     if not (isinstance(lines, list) and all(isinstance(v, int) for v in lines)):
         raise JsonlError("line_labels must be a list of ints", lineno)
     known = set(_REQUIRED_FIELDS) | set(_OPTIONAL_FIELDS)
-    return BugRecord(
+    record = BugRecord(
         id=payload["id"],
         correct_code=payload["correct_code"],
         buggy_code=payload["buggy_code"],
@@ -263,6 +266,13 @@ def record_from_dict(payload: dict, lineno: int = 0) -> BugRecord:
         strategy=payload.get("strategy"),
         extra={k: v for k, v in payload.items() if k not in known},
     )
+    try:
+        check_record(record, lex(record.buggy_code))
+    except LexError as exc:
+        raise JsonlError(f"buggy_code does not lex: {exc}", lineno) from None
+    except ValueError as exc:
+        raise JsonlError(str(exc), lineno) from None
+    return record
 
 
 def write_jsonl(records: Iterable[BugRecord], path: str | Path) -> None:

@@ -18,7 +18,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError
 from .model import BUG_TYPE_ORDER, line_scores
 from .mutate import BugRecord
 
@@ -247,6 +246,8 @@ def evaluate(
 ) -> MetricsReport:
     """Run the model over records and pool detection/correction metrics.
 
+    Records pass `check_record`, as `read_jsonl` and the injector give them.
+
     Token and line pools are micro-averaged across records, overall and
     per bug type.  Labeled lines that fall beyond a truncated input are
     scored 0.0 so they honestly count as misses rather than vanish.
@@ -264,8 +265,6 @@ def evaluate(
 
     for record in records:
         pred = model.predict_record(record, given_location=given_location)
-        if len(record.token_labels) != pred.stream.n_tokens:
-            raise DataError(f"record {record.id}: labels do not match the lexed token count")
         probs = pred.token_probs
         labels = record.token_labels[: probs.shape[0]]
         if pred.truncated:
@@ -285,9 +284,8 @@ def evaluate(
         line_all.extend(row_scores, row_labels)
         line_by[name].extend(row_scores, row_labels)
 
-        if record.line_labels:
-            top1_hits += code_topk(per_line, record.line_labels, 1)
-            top5_hits += code_topk(per_line, record.line_labels, 5)
+        top1_hits += code_topk(per_line, record.line_labels, 1)
+        top5_hits += code_topk(per_line, record.line_labels, 5)
         corrected += strict_substring_match(pred.generated_text, record.snippet_correct)
 
     known_types = [t.name for t in BUG_TYPE_ORDER if t.name in token_by]

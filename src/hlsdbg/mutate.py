@@ -518,68 +518,65 @@ def inject(stream: TokenStream, site: MutationSite, seed: int) -> BugRecord:
 
 
 def splice_record(record_id: str, code: str, a: int, b: int, buggy_text: str, bug_type: BugType) -> BugRecord:
-    """The verified record whose buggy code replaces `code[a:b]` with `buggy_text`.
+    """The checked record whose buggy code replaces `code[a:b]` with `buggy_text`.
 
-    Raises DataError when the buggy code does not lex, and ValueError for an
-    identity rewrite, a rewrite that covers no token, or a record that fails
-    verification.
+    Raises DataError when the buggy code does not lex, and ValueError, from
+    `check_record`, for an identity rewrite or one that covers no token.
     """
-    snippet_correct = code[a:b]
-    if buggy_text == snippet_correct:
-        raise ValueError(f"identity rewrite at bytes ({a}, {b})")
     buggy_code = code[:a] + buggy_text + code[b:]
     span = (a, a + len(buggy_text))
     stream = lex(buggy_code)
     lo, hi = tokens_in_byte_range(stream, span)
-    if lo == hi:
-        raise ValueError(f"rewrite at bytes ({a}, {b}) covers no token")
     record = BugRecord(
         id=record_id,
         correct_code=code,
         buggy_code=buggy_code,
-        snippet_correct=snippet_correct,
+        snippet_correct=code[a:b],
         snippet_buggy=buggy_text,
         bug_type=bug_type,
         buggy_byte_span=span,
         token_labels=[1 if lo <= i < hi else 0 for i in range(stream.n_tokens)],
         line_labels=lines_of_tokens(stream, range(lo, hi)),
     )
-    if not _verify_lexed(record, stream):
-        raise ValueError(f"spliced record {record_id} is inconsistent")
+    check_record(record, stream)
     return record
 
 
 def verify_record(record: BugRecord) -> bool:
-    """Re-check every BugRecord invariant from the raw fields."""
+    """Whether the record lexes and `check_record` passes it."""
     try:
-        stream = lex(record.buggy_code)
-    except Exception:
-        return False
-    return _verify_lexed(record, stream)
-
-
-def _verify_lexed(record: BugRecord, stream: TokenStream) -> bool:
-    """Every BugRecord invariant, given `stream = lex(record.buggy_code)`."""
-    s, e = record.buggy_byte_span
-    if not (0 <= s <= e <= len(record.buggy_code)):
-        return False
-    if record.snippet_correct == record.snippet_buggy:
-        return False
-    if record.buggy_code[s:e] != record.snippet_buggy:
-        return False
-    spliced = record.buggy_code[:s] + record.snippet_correct + record.buggy_code[e:]
-    if spliced != record.correct_code:
-        return False
-    if len(record.token_labels) != stream.n_tokens:
-        return False
-    lo, hi = tokens_in_byte_range(stream, record.buggy_byte_span)
-    expect = [1 if lo <= i < hi else 0 for i in range(stream.n_tokens)]
-    if record.token_labels != expect:
-        return False
-    flagged = [i for i, v in enumerate(record.token_labels) if v == 1]
-    if set(record.line_labels) != lines_of_tokens(stream, flagged):
+        check_record(record, lex(record.buggy_code))
+    except (DataError, ValueError):
         return False
     return True
+
+
+def check_record(record: BugRecord, stream: TokenStream) -> None:
+    """Raise ValueError naming the first broken BugRecord invariant, given `stream = lex(record.buggy_code)`.
+
+    The span lies in the buggy code and holds the buggy snippet, which differs
+    from the correct one; putting the correct snippet back gives the correct
+    code; there is one token label per token, and the flagged tokens are those
+    the span touches, at least one; the line labels are the flagged tokens' lines.
+    """
+    s, e = record.buggy_byte_span
+    if not 0 <= s <= e <= len(record.buggy_code):
+        raise ValueError(f"buggy_byte_span {[s, e]} is not within the {len(record.buggy_code)} bytes of buggy_code")
+    if record.snippet_correct == record.snippet_buggy:
+        raise ValueError("snippet_correct equals snippet_buggy")
+    if record.buggy_code[s:e] != record.snippet_buggy:
+        raise ValueError("buggy_code does not hold snippet_buggy at buggy_byte_span")
+    if record.buggy_code[:s] + record.snippet_correct + record.buggy_code[e:] != record.correct_code:
+        raise ValueError("snippet_correct spliced into buggy_code does not give correct_code")
+    if len(record.token_labels) != stream.n_tokens:
+        raise ValueError(f"{len(record.token_labels)} token_labels for {stream.n_tokens} tokens")
+    lo, hi = tokens_in_byte_range(stream, record.buggy_byte_span)
+    if lo == hi:
+        raise ValueError("buggy_byte_span covers no token")
+    if record.token_labels != [1 if lo <= i < hi else 0 for i in range(stream.n_tokens)]:
+        raise ValueError(f"token_labels do not flag exactly tokens {lo}..{hi - 1}, those buggy_byte_span covers")
+    if set(record.line_labels) != lines_of_tokens(stream, range(lo, hi)):
+        raise ValueError("line_labels are not the lines of the flagged tokens")
 
 
 # --- corpus-level generation ---------------------------------------------------

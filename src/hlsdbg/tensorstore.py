@@ -66,7 +66,8 @@ def load_tensors(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         if len(raw_len) != 8:
             raise DataError(f"truncated container header in {path}")
         (header_len,) = struct.unpack("<Q", raw_len)
-        raw_header = fh.read(header_len)
+        # a corrupt length must not make `read` allocate beyond the file
+        raw_header = fh.read(min(header_len, Path(path).stat().st_size))
         if len(raw_header) != header_len:
             raise DataError(f"truncated container header in {path}")
         try:

@@ -70,8 +70,8 @@ class TrainConfig:
             raise ValueError("given_location_fraction must be within [0, 1]")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
-        if self.lr_final < 0 or self.lr_decay_epochs < 0:
-            raise ValueError("lr_final and lr_decay_epochs must be non-negative")
+        if min(self.lr_final, self.lr_decay_epochs, self.checkpoint_every, self.clip_norm) < 0:
+            raise ValueError("lr_final, lr_decay_epochs, checkpoint_every and clip_norm must be non-negative")
         if self.lr_decay_epochs > 0 and self.lr_final > self.lr:
             raise ValueError("lr_final cannot exceed lr")
 
@@ -168,13 +168,8 @@ class _Batch:
 def _build_batch(model: DebuggerModel, records: Sequence[BugRecord], givens: Sequence[bool]) -> _Batch:
     ids_batch, bug_rows, type_labels, tgt_rows = [], [], [], []
     for rec, given in zip(records, givens):
-        stream = lex(rec.buggy_code)
-        if stream.n_tokens == 0:
-            raise DataError(f"record {rec.id}: no tokens to train on")
-        if len(rec.token_labels) != stream.n_tokens:
-            raise DataError(f"record {rec.id}: labels do not match the lexed token count")
         span = label_span(rec) if given else None
-        ids_batch.append(model.input_ids(stream, span))
+        ids_batch.append(model.input_ids(lex(rec.buggy_code), span))
         bug_rows.append(rec.token_labels if span is None else bracket(rec.token_labels, span, 0, 0))
         type_labels.append(BUG_TYPE_INDEX[rec.bug_type])
         tgt_rows.append(model.target_ids(rec))
@@ -336,6 +331,7 @@ def train(
     out_dir: str | Path | None = None,
     stop_fn: Callable[[int, DebuggerModel], bool] | None = None,
 ) -> TrainResult:
+    """A fresh run of `cfg.epochs` on records as `read_jsonl` and the injector give them, checked."""
     state = TrainState(model, cfg, weights or LossWeights(), random.Random(cfg.seed))
     return _run(state, records, out_dir, stop_fn)
 

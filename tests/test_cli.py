@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hlsdbg.cli as cli
+from broken_records import BROKEN
 from hlsdbg.corpus import read_jsonl, read_samples_jsonl, record_to_dict, write_jsonl
 from hlsdbg.errors import DataError, NumericError
 from hlsdbg.lexer import lex
@@ -302,6 +303,11 @@ def _truncate_header(path):
     path.write_bytes(path.read_bytes()[:11])
 
 
+def _huge_header_length(path):
+    data = path.read_bytes()
+    path.write_bytes(data[:7] + (1 << 62).to_bytes(8, "little") + data[15:])
+
+
 def _unknown_dtype(path):
     _rewrite_header(path, _first_tensor("dtype", "f16"))
 
@@ -316,6 +322,10 @@ def _offset_past_payload(path):
 
 def _unknown_config_key(path):
     _rewrite_header(path, lambda header: header["meta"]["config"].update(n_experts=4))
+
+
+def _non_string_vocab(path):
+    _rewrite_header(path, lambda header: header["meta"].update(vocab=[*Vocab.SPECIALS, 1, 2]))
 
 
 @pytest.fixture()
@@ -354,6 +364,7 @@ class TestCorruptModelFile:
 
     @pytest.mark.parametrize("corrupt", [
         _truncate_header, _unknown_dtype, _wrong_nbytes, _offset_past_payload, _unknown_config_key,
+        _non_string_vocab, _huge_header_length,
     ])
     @pytest.mark.parametrize("command", ["debug", "eval"])
     def test_exits_two_with_one_line(self, tmp_path, model_path, corrupt, command, capsys):
@@ -426,6 +437,28 @@ class TestMalformedRecords:
             argv = ["train", "--records", records_path, "--out-dir", tmp_path / "run", "--config", cfg]
         _assert_data_exit(argv, capsys)
 
+    @pytest.mark.parametrize("name", BROKEN)
+    @pytest.mark.parametrize("command", ["eval", "train", "resume"])
+    def test_broken_invariant_names_its_line(self, tmp_path, request, records_path, model_path, name, command,
+                                             capsys):
+        run = tmp_path / "run"
+        if command == "eval":
+            argv = ["eval", "--model", model_path, "--records", records_path]
+        elif command == "train":
+            cfg = tmp_path / "tiny.cfg"
+            cfg.write_text(TINY_CONFIG)
+            argv = ["train", "--records", records_path, "--out-dir", run, "--config", cfg]
+        else:  # the checkpoint is trained on the records before one of them is broken
+            argv = ["train", "--records", records_path, "--out-dir", run,
+                    "--resume", request.getfixturevalue("checkpoint_path"), "--epochs", "2"]
+        lines = records_path.read_text().splitlines()
+        lines[1] = json.dumps(BROKEN[name][0](json.loads(lines[1])))
+        records_path.write_text("\n".join(lines) + "\n")
+        assert _run([str(a) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("hlsdbg: data error: line 2: ") and captured.err.count("\n") == 1
+        assert not run.exists()
+
     def test_empty_records_file(self, tmp_path, model_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("\n")
@@ -461,7 +494,7 @@ class TestTrainSettings:
         "model.d_model = 255", "model.dtype = f16", "model.n_heads = 0", "model.max_src_len = 1",
         "model.d_ff = 2.0", "model.vocab_size = 9", "model.n_bug_types = 3", "loss.alpha_true = x",
         "epochs = 3\x1cseed = 4",  # one line, so `epochs` is not an int
-        "model.dropout = 0",
+        "model.dropout = 0", "lr = inf", "given_location_fraction = 2", "checkpoint_every = -1", "clip_norm = -3",
     ])
     def test_config_line(self, tmp_path, records_path, line, capsys):
         cfg = tmp_path / "tiny.cfg"
@@ -470,8 +503,9 @@ class TestTrainSettings:
         _assert_data_exit(argv, capsys)
 
     @pytest.mark.parametrize("flag", [
-        ["--epochs", "0"], ["--lr", "-1"], ["--lr", "inf"], ["--given-location-fraction", "2"],
-        ["--batch-size", "0"],
+        ["--epochs", "0"], ["--epochs", "-3"], ["--checkpoint-every", "-1"],
+        # one bad flag beside a good one is still refused
+        ["--epochs", "1", "--checkpoint-every", "-1"], ["--epochs", "-3", "--checkpoint-every", "1"],
     ])
     def test_flag(self, tmp_path, records_path, flag, capsys):
         cfg = tmp_path / "tiny.cfg"
@@ -585,8 +619,7 @@ class TestResumeFlags:
     """A run setting beside --resume would be ignored, so it is a usage error: exit 1, one stderr line."""
 
     @pytest.mark.parametrize("flag", [
-        ["--config", "/nonexistent.cfg"], ["--batch-size", "1"], ["--lr", "5"], ["--seed", "4"],
-        ["--checkpoint-every", "1"], ["--given-location-fraction", "0.5"], ["--model-seed", "0"],
+        ["--config", "/nonexistent.cfg"], ["--checkpoint-every", "1"], ["--model-seed", "0"],
     ], ids=lambda flag: flag[0])
     def test_setting_with_resume_is_usage_error(self, tmp_path, records_path, checkpoint_path, flag, capsys):
         run = tmp_path / "run"
@@ -617,6 +650,8 @@ class TestGenLlm:
         records = read_jsonl(out)
         assert len(records) == 2
         assert all(r.strategy for r in records)
+        write_jsonl(records, tmp_path / "again.jsonl")
+        assert (tmp_path / "again.jsonl").read_bytes() == out.read_bytes()
         manifest = json.loads((tmp_path / "llm.jsonl.manifest.json").read_text())
         assert manifest["counts"]["completion_calls"] >= 6
 
@@ -654,7 +689,7 @@ class TestGenLlm:
         _assert_data_exit(argv, capsys)
         assert len(posts) == MAX_ATTEMPTS  # each malformed reply is one failed attempt
 
-    @pytest.mark.parametrize("endpoint", ["file:///etc/hosts", "ftp://127.0.0.1/v1", "127.0.0.1:8000/v1"])
+    @pytest.mark.parametrize("endpoint", ["file:///etc/hosts", "ftp://127.0.0.1/v1", "127.0.0.1:8000/v1", ""])
     def test_endpoint_that_is_not_http_is_data_error(self, tmp_path, monkeypatch, endpoint, capsys):
         posts = []
         monkeypatch.setattr(urllib.request, "urlopen", lambda *a, **k: posts.append(a))
@@ -857,12 +892,11 @@ def test_eval_and_train_exit_zero_or_two_on_any_records(lines):
             _FUZZ_VOCAB,
         )
         model.save(d / "model.bin")
-        (d / "run.cfg").write_text(FUZZ_CONFIG)
+        (d / "run.cfg").write_text(FUZZ_CONFIG + "given_location_fraction = 0.5\n")
         runs = [
             ["eval", "--model", d / "model.bin", "--records", records],
             ["eval", "--model", d / "model.bin", "--records", records, "--given-location"],
-            ["train", "--records", records, "--out-dir", d / "run", "--config", d / "run.cfg",
-             "--given-location-fraction", "0.5"],
+            ["train", "--records", records, "--out-dir", d / "run", "--config", d / "run.cfg"],
         ]
         for argv in runs:
             code, err = _run_quiet(argv)

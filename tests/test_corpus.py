@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hlsdbg
+from broken_records import BROKEN
 from hlsdbg.corpus import (
     DatasetManifest,
     Origin,
@@ -317,6 +318,18 @@ class TestJsonl:
         with pytest.raises(JsonlError):
             record_from_dict(payload, 1)
 
+    @pytest.mark.parametrize("name", BROKEN)
+    def test_broken_invariant_names_its_line(self, small_records, tmp_path, name):
+        edit, fragment = BROKEN[name]
+        lines = [json.dumps(record_to_dict(r)) for r in small_records[:3]]
+        lines[1] = json.dumps(edit(json.loads(lines[1])))
+        path = tmp_path / "broken.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(JsonlError) as err:
+            read_jsonl(path)
+        assert err.value.lineno == 2
+        assert str(err.value).startswith("line 2: ") and fragment in str(err.value)
+
     def test_unknown_fields_survive_round_trip(self, small_records, tmp_path):
         payload = record_to_dict(small_records[0])
         payload["provenance"] = {"crawler": "v2"}
@@ -448,3 +461,18 @@ def test_make_synth_corpus_manifest_records_version_and_invocation(tmp_path, mon
     manifest = run("2", tmp_path / "two")
     assert (manifest["counts"]["train"], manifest["counts"]["held_out"]) == (2, 2)
     assert manifest["notes"] == ["moved one group to held-out to keep both sides non-empty"]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--kernels", "-3"), ("--kernels", "0"), ("--per-sample", "0"), ("--per-sample", "x"),
+    ("--held-out-ratio", "1.0"), ("--held-out-ratio", "-0.5"), ("--held-out-ratio", "nan"),
+    ("--held-out-ratio", "1e-300"),  # 1 - 1e-300 == 1.0 leaves nothing to hold out
+])
+def test_make_synth_corpus_rejects_bad_arguments(tmp_path, monkeypatch, capsys, flag, value):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "make_synth_corpus.py"
+    monkeypatch.setattr(sys, "argv", [str(script), flag, value, "--out-dir", str(tmp_path / "out")])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exit_info.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -19,10 +19,8 @@ from hlsdbg.model import (
     label_span,
     line_scores,
 )
-from hlsdbg.metrics import evaluate
 from hlsdbg.mutate import generate_corpus
 from hlsdbg.synth import make_corpus
-from hlsdbg.training import _build_batch
 
 
 TOY_CORPUS = Path(__file__).resolve().parents[1] / "data" / "toy_corpus"
@@ -379,16 +377,6 @@ class TestRecordApi:
         real = ~np.isin(given_ids, [Vocab.BUG_OPEN, Vocab.BUG_CLOSE])
         assert real.sum() == len(plain_ids)
         assert np.array_equal(given[real], plain)
-
-    def test_label_length_mismatch_raises(self, model, records):
-        labels = records[0].token_labels
-        for wrong in (labels + [0], labels[:-1]):
-            rec = dataclasses.replace(records[0], token_labels=wrong)
-            for given in (False, True):
-                with pytest.raises(DataError):
-                    _build_batch(model, [rec], [given])
-                with pytest.raises(DataError):
-                    evaluate(model, [rec], given_location=given)
 
     def test_plain_prediction_reads_no_labels(self, vocab, records):
         model = DebuggerModel(_tiny_config(vocab), vocab, seed=11)

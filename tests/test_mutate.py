@@ -281,6 +281,11 @@ class TestVerifyRecord:
         record.snippet_correct = record.snippet_buggy
         assert not verify_record(record)
 
+    def test_no_flagged_token_fails(self):
+        # consistent but for the span, which holds only the blank the rewrite added
+        record = BugRecord("blank", "int a;\n", "int  a;\n", "", " ", BugType.ZERO, (3, 4), [0, 0, 0], set())
+        assert not verify_record(record)
+
 
 def test_inject_rejects_foreign_site():
     stream = lex("int acc = 1;\n")

@@ -289,11 +289,6 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(_tiny_model(vocab), [], TrainConfig(epochs=1))
 
-    def test_record_without_tokens_rejected(self, vocab, records):
-        empty = dataclasses.replace(records[0], buggy_code=" \n", token_labels=[])
-        with pytest.raises(DataError):
-            train(_tiny_model(vocab), [empty], TrainConfig(epochs=1))
-
     @pytest.mark.parametrize(
         "weights, label",
         [(LossWeights(alpha_false=0.0), 0), (LossWeights(alpha_true=0.0), 1)],
