@@ -56,12 +56,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _positive_int(text: str) -> int:
+def _non_negative_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = _non_negative_int(text)
+    if value == 0:
         raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
     return value
 
@@ -378,7 +385,8 @@ def build_parser() -> _Parser:
     p.add_argument("--resume", help="checkpoint to continue from")
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--checkpoint-every", type=int, default=None)
-    p.add_argument("--model-seed", type=int, default=None, help="weight-init seed of a fresh model (default 0)")
+    p.add_argument("--model-seed", type=_non_negative_int, default=None,
+                   help="weight-init seed of a fresh model (default 0)")
     p.set_defaults(fn=_cmd_train)
 
     p = sub.add_parser("eval", help="score a model against labeled records")

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DataError, JsonlError, LexError
-from .lexer import lex
+from .lexer import lex, relex
 from .mutate import BugRecord, BugType, check_record
 
 SOURCE_EXTENSIONS = frozenset({".c", ".h", ".cpp", ".hpp", ".cc", ".cxx"})
@@ -234,7 +234,11 @@ def record_to_dict(record: BugRecord) -> dict:
 
 
 def record_from_dict(payload: dict, lineno: int = 0) -> BugRecord:
-    """The record a JSONL object holds; a JsonlError unless its fields are well typed and pass `check_record`."""
+    """The record a JSONL object holds.
+
+    A JsonlError unless its fields are well typed, it passes `check_record`
+    and its correct code lexes too.
+    """
     notes = tuple(name for name in _OPTIONAL_FIELDS if payload.get(name) is not None)
     _check_fields(payload, _REQUIRED_FIELDS, _TEXT_FIELDS + notes, lineno)
     try:
@@ -267,9 +271,14 @@ def record_from_dict(payload: dict, lineno: int = 0) -> BugRecord:
         extra={k: v for k, v in payload.items() if k not in known},
     )
     try:
-        check_record(record, lex(record.buggy_code))
+        stream = lex(record.buggy_code)
     except LexError as exc:
         raise JsonlError(f"buggy_code does not lex: {exc}", lineno) from None
+    try:
+        check_record(record, stream)
+        relex(stream, *record.buggy_byte_span, record.snippet_correct)  # lex(correct_code), by check_record's splice
+    except LexError as exc:
+        raise JsonlError(f"correct_code does not lex: {exc}", lineno) from None
     except ValueError as exc:
         raise JsonlError(str(exc), lineno) from None
     return record

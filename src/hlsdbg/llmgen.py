@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Protocol
 from urllib.parse import urlsplit
 
-from .errors import DataError
-from .lexer import lex
+from .errors import DataError, LexError
+from .lexer import TokenStream, lex
 from .mutate import BugRecord, BugType, find_sites, inject, splice_record
 
 _CODE_OPEN = "<<<CODE"
@@ -217,17 +217,17 @@ def _parse_tagged_line(text: str, tag: str) -> str | None:
 
 def build_record(
     sample_id: str,
-    code: str,
+    sample: TokenStream,
     bug_type: BugType,
     snippet_correct: str,
     snippet_buggy: str,
 ) -> BugRecord | None:
-    """Record from a snippet pair, spliced at the first occurrence; None if invalid."""
-    at = code.find(snippet_correct)
+    """Record from a snippet pair, spliced into the lexed sample at the first occurrence; None if invalid."""
+    at = sample.source.find(snippet_correct)
     if at == -1:
         return None
     try:
-        return splice_record(sample_id, code, at, at + len(snippet_correct), snippet_buggy, bug_type)
+        return splice_record(sample_id, sample, at, at + len(snippet_correct), snippet_buggy, bug_type)
     except (DataError, ValueError):
         return None
 
@@ -242,6 +242,10 @@ def generate_via_llm(
 
     def run_one(job: tuple[str, str]) -> tuple[BugRecord | None, str | None, int]:
         sample_id, code = job
+        try:
+            sample = lex(code)
+        except LexError:
+            return None, "sample does not lex", 0
         calls = 0
         note_text = client.complete(P_FUNCTION.format(code=code))
         calls += 1
@@ -258,7 +262,7 @@ def generate_via_llm(
             return None, "unparseable bug-insertion response", calls
         bug_type, snippet_correct, snippet_buggy = parsed
 
-        record = build_record(f"{sample_id}/llm", code, bug_type, snippet_correct, snippet_buggy)
+        record = build_record(f"{sample_id}/llm", sample, bug_type, snippet_correct, snippet_buggy)
         if record is None:
             return None, "snippet pair does not splice into the sample", calls
 

@@ -5,9 +5,9 @@ correct code. Each operator is one finder: a pattern match over one shared
 structural scan of the token stream (bracket partners, declarations, loop
 headers; no parsing) that yields sites carrying their candidate rewrites,
 each a token span and its replacement text. Injection draws one rewrite
-with a seeded PRNG, splices it in, re-lexes, and derives token/line labels
-from the byte span of the buggy snippet. Everything is a pure function of
-(source, seed).
+with a seeded PRNG, splices it in, re-lexes the changed window, and derives
+token/line labels from the byte span of the buggy snippet. Everything is a
+pure function of (source, seed).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from itertools import accumulate, repeat
 from typing import Iterable, Sequence
 
 from .errors import DataError
-from .lexer import TokenKind, TokenStream, lex, lines_of_tokens, tokens_in_byte_range
+from .lexer import TokenKind, TokenStream, lex, lines_of_tokens, relex, tokens_in_byte_range
 
 
 class BugType(enum.Enum):
@@ -514,32 +514,40 @@ def inject(stream: TokenStream, site: MutationSite, seed: int) -> BugRecord:
         span, buggy_text = rng.choice(site.rewrites)
     a, b = _span_bytes(stream, span)
     t = site.bug_type
-    return splice_record(f"{t.value.lower()}-{a}-{b}-{seed & 0xFFFFFFFF:08x}", stream.source, a, b, buggy_text, t)
+    return splice_record(f"{t.value.lower()}-{a}-{b}-{seed & 0xFFFFFFFF:08x}", stream, a, b, buggy_text, t)
 
 
-def splice_record(record_id: str, code: str, a: int, b: int, buggy_text: str, bug_type: BugType) -> BugRecord:
-    """The checked record whose buggy code replaces `code[a:b]` with `buggy_text`.
+def splice_record(
+    record_id: str, correct: TokenStream, a: int, b: int, buggy_text: str, bug_type: BugType
+) -> BugRecord:
+    """The checked record whose buggy code replaces `correct.source[a:b]` with `buggy_text`.
 
-    Raises DataError when the buggy code does not lex, and ValueError, from
+    The buggy code is re-lexed from `correct` over the changed window only.
+    Raises DataError when it does not lex, and ValueError, from
     `check_record`, for an identity rewrite or one that covers no token.
     """
-    buggy_code = code[:a] + buggy_text + code[b:]
+    code = correct.source
+    stream = relex(correct, a, b, buggy_text)
     span = (a, a + len(buggy_text))
-    stream = lex(buggy_code)
     lo, hi = tokens_in_byte_range(stream, span)
     record = BugRecord(
         id=record_id,
         correct_code=code,
-        buggy_code=buggy_code,
+        buggy_code=stream.source,
         snippet_correct=code[a:b],
         snippet_buggy=buggy_text,
         bug_type=bug_type,
         buggy_byte_span=span,
-        token_labels=[1 if lo <= i < hi else 0 for i in range(stream.n_tokens)],
+        token_labels=_flags(stream.n_tokens, lo, hi),
         line_labels=lines_of_tokens(stream, range(lo, hi)),
     )
     check_record(record, stream)
     return record
+
+
+def _flags(n: int, lo: int, hi: int) -> list[int]:
+    """n token labels, 1 on tokens lo..hi-1."""
+    return [0] * lo + [1] * (hi - lo) + [0] * (n - hi)
 
 
 def verify_record(record: BugRecord) -> bool:
@@ -573,7 +581,7 @@ def check_record(record: BugRecord, stream: TokenStream) -> None:
     lo, hi = tokens_in_byte_range(stream, record.buggy_byte_span)
     if lo == hi:
         raise ValueError("buggy_byte_span covers no token")
-    if record.token_labels != [1 if lo <= i < hi else 0 for i in range(stream.n_tokens)]:
+    if record.token_labels != _flags(stream.n_tokens, lo, hi):
         raise ValueError(f"token_labels do not flag exactly tokens {lo}..{hi - 1}, those buggy_byte_span covers")
     if set(record.line_labels) != lines_of_tokens(stream, range(lo, hi)):
         raise ValueError("line_labels are not the lines of the flagged tokens")

@@ -21,6 +21,13 @@ def _no_tokens(r):
             "buggy_byte_span": [0, 2], "token_labels": [], "line_labels": []}
 
 
+def _correct_does_not_lex(r):
+    # consistent, but the buggy snippet closes a string the correct code leaves open
+    return {**r, "correct_code": 'char *s = "abc;\n', "buggy_code": 'char *s = "abc";\n', "snippet_correct": "",
+            "snippet_buggy": '"', "buggy_byte_span": [14, 15], "token_labels": [0, 0, 0, 0, 1, 0],
+            "line_labels": [1]}
+
+
 BROKEN = {
     "line-labels": (lambda r: {**r, "line_labels": [999]}, "line_labels"),
     "byte-span": (lambda r: {**r, "buggy_byte_span": [-5, 100000]}, "buggy_byte_span"),
@@ -32,4 +39,5 @@ BROKEN = {
     "no-flagged-token": (_no_flagged_token, "covers no token"),
     "no-tokens": (_no_tokens, "covers no token"),
     "does-not-lex": (lambda r: {**r, "buggy_code": r["buggy_code"] + "/*"}, "does not lex"),
+    "correct-does-not-lex": (_correct_does_not_lex, "correct_code does not lex: line 1, col 11"),
 }

@@ -116,11 +116,13 @@ class TestExitCodes:
         ["eval", "--model", "m.bin", "--records", "r.jsonl", "--threshold", "-inf"],
         ["debug", "kernel.c", "--model", "m.bin", "--top", "-1"],
         ["debug", "kernel.c", "--model", "m.bin", "--top", "0"],
+        ["train", "--records", "r.jsonl", "--out-dir", "run", "--model-seed", "-1"],
+        ["train", "--records", "r.jsonl", "--out-dir", "run", "--model-seed", "x"],
     ], ids=lambda argv: " ".join([argv[0], *argv[-2:]]))
     def test_bad_count_or_number_is_usage_error(self, tmp_path, argv, capsys):
         out = tmp_path / "o.jsonl"
         with pytest.raises(SystemExit) as exc:
-            _run(argv + ([] if argv[0] in ("eval", "debug") else ["--out", str(out)]))
+            _run(argv + ([] if argv[0] in ("eval", "debug", "train") else ["--out", str(out)]))
         assert exc.value.code == 1
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from lexer_oracle import oracle_lex
 
 from hlsdbg.errors import LexError
-from hlsdbg.lexer import TokenKind, lex, lines_of_tokens, tokens_in_byte_range
+from hlsdbg.lexer import TokenKind, lex, lines_of_tokens, relex, tokens_in_byte_range
+from hlsdbg.mutate import find_sites
 from hlsdbg.synth import make_corpus
 
 TOY_CORPUS = Path(__file__).resolve().parents[1] / "data" / "toy_corpus"
@@ -213,12 +214,13 @@ def test_byte_range_matches_linear_scan(src, a, b):
 # Equivalence with the character-by-character reference lexer ---------------
 
 
-def _outcome(lex_fn, src):
-    """Token tuples, or the LexError's (message, line, col)."""
+def _outcome(lex_fn, *args):
+    """The source and its token tuples, or the LexError's (message, line, col)."""
     try:
-        return [(t.kind, t.text, t.byte_start, t.byte_end, t.line, t.col) for t in lex_fn(src).tokens]
+        stream = lex_fn(*args)
     except LexError as exc:
         return ("LexError", str(exc), exc.line, exc.col)
+    return stream.source, [(t.kind, t.text, t.byte_start, t.byte_end, t.line, t.col) for t in stream.tokens]
 
 
 # C-ish fragments plus characters on which `str.isdigit`/`isalpha` and the
@@ -251,3 +253,113 @@ def test_lex_matches_reference_lexer_on_kernels():
     sources += [code for _, code in make_corpus(200, seed=17)]
     for src in sources:
         assert _outcome(lex, src) == _outcome(oracle_lex, src)
+
+
+# relex: the splice's window only, with lex's results -------------------------
+
+
+# pieces that end, open or merge a token across a splice's edges
+_SPLICE_PIECES = [".", "..", "/*", "*/", '"', "'", "\\\n", "\n#pragma HLS unroll\n", "#pragma", "\r", "²", "½"]
+splice_text = st.one_of(
+    st.sampled_from(_SPLICE_PIECES),
+    st.lists(st.one_of(st.sampled_from(_SPLICE_PIECES), st.sampled_from(_C_PIECES), st.characters()),
+             max_size=4).map("".join),
+)
+
+
+# the toy kernels and some synth ones, as they are and damaged
+_KERNELS = [p.read_text() for p in sorted(TOY_CORPUS.glob("*.c"))] + [code for _, code in make_corpus(40, seed=17)]
+
+
+@st.composite
+def damaged_kernel(draw):
+    code = draw(st.sampled_from(_KERNELS))
+    for piece in draw(st.lists(st.sampled_from(_SPLICE_PIECES + _C_PIECES), max_size=3)):
+        at = draw(st.integers(0, len(code)))
+        code = code[:at] + piece + code[at:]
+    return code
+
+
+def _lexes(src: str) -> bool:
+    try:
+        lex(src)
+    except LexError:
+        return False
+    return True
+
+
+lexed_base = st.one_of(c_ish_text, damaged_kernel()).filter(_lexes).map(lex)
+
+
+@st.composite
+def splice(draw):
+    """A lexed source and a byte range of it: arbitrary, or token-aligned like the injector's."""
+    stream = draw(lexed_base)
+    toks, n = stream.tokens, len(stream.source)
+    if toks and draw(st.booleans()):
+        lo = draw(st.integers(0, len(toks) - 1))
+        hi = draw(st.integers(lo, min(lo + 4, len(toks))))
+        a = toks[lo].byte_start
+        b = toks[hi - 1].byte_end if hi > lo else a
+    else:
+        a = draw(st.integers(0, n))
+        b = draw(st.integers(a, min(a + 12, n)))
+    return stream, a, b
+
+
+def _assert_relex_is_lex(stream, a, b, text):
+    spliced = stream.source[:a] + text + stream.source[b:]
+    assert _outcome(relex, stream, a, b, text) == _outcome(lex, spliced)
+
+
+@given(splice(), splice_text)
+@settings(max_examples=1500, deadline=None)
+def test_relex_equals_lex_of_the_spliced_source(case, text):
+    _assert_relex_is_lex(*case, text)
+
+
+# single characters and `#pragma`: short sources and splices in which tokens
+# merge and split across the splice's edges often
+_DENSE = [".", "a", "1", "e", "+", ";", " ", "\n", "\r", "#pragma", "/", "*", '"', "'", "\\", "²", "½"]
+
+
+@given(st.lists(st.sampled_from(_DENSE), max_size=10).map("".join).filter(_lexes).map(lex),
+       st.data(), st.lists(st.sampled_from(_DENSE), max_size=3).map("".join))
+@settings(max_examples=1500, deadline=None)
+def test_relex_equals_lex_on_dense_splices(stream, data, text):
+    a = data.draw(st.integers(0, len(stream.source)))
+    b = data.draw(st.integers(a, len(stream.source)))
+    _assert_relex_is_lex(stream, a, b, text)
+
+
+@pytest.mark.parametrize("src, a, b, text", [
+    ("x = a..b;", 7, 7, "."),  # `..` then `.` is one `...`, which starts two tokens back
+    ("a.\n#pragma HLS x\n", 1, 2, ""),  # the pragma line's head is unchanged
+    ("a\n#pragma HLS x\n", 1, 2, " "),  # the newline goes: `#` is no longer at a line head
+    ("a #pragma b\n", 1, 2, "\n"),  # a newline puts `#pragma` at a line head
+    ("a; /* c */ b;", 3, 4, "\n"),  # the comment keeps its bytes but moves down a line
+    ("int s; char *t;", 6, 6, ' "'),  # the same LexError for an unterminated string
+    ('s = "a\\\nb"; x;', 5, 6, ""),  # a backslash-newline in a literal
+    ("i = 1;\r\nj = 2;", 6, 7, "\n"),  # `\r` is whitespace
+    ("x = 2;", 4, 5, "²"),  # "²" is a digit to `str.isdigit` only
+    ("x = 1½;", 4, 6, "½"),
+    ("a b", 0, 3, ""),  # everything goes
+    ("", 0, 0, "int x;"),
+])
+def test_relex_on_edge_cases(src, a, b, text):
+    _assert_relex_is_lex(lex(src), a, b, text)
+
+
+def test_relex_rejects_a_range_outside_the_source():
+    for a, b in ((-1, 0), (2, 1), (0, 4)):
+        with pytest.raises(ValueError):
+            relex(lex("a b"), a, b, "")
+
+
+def test_relex_equals_lex_on_every_injector_rewrite():
+    for src in _KERNELS:
+        stream = lex(src)
+        for sites in find_sites(stream).values():
+            for site in sites:
+                for (lo, hi), text in site.rewrites:
+                    _assert_relex_is_lex(stream, stream.tokens[lo].byte_start, stream.tokens[hi - 1].byte_end, text)

@@ -8,6 +8,7 @@ import urllib.request
 import pytest
 
 from hlsdbg.errors import DataError
+from hlsdbg.lexer import lex
 from hlsdbg.llmgen import (
     MAX_ATTEMPTS,
     HttpCompletionClient,
@@ -62,20 +63,20 @@ class TestParseInsertBlock:
 
 class TestBuildRecord:
     def test_first_occurrence_splice(self):
-        rec = build_record("s", SRC, BugType.ZERO, "1", "0")
+        rec = build_record("s", lex(SRC), BugType.ZERO, "1", "0")
         assert rec is not None
         assert verify_record(rec)
         assert rec.buggy_code == "int acc = 0;\nint r;\nr = acc;\n"
         assert sum(rec.token_labels) == 1
 
     def test_snippet_not_present(self):
-        assert build_record("s", SRC, BugType.ZERO, "99", "0") is None
+        assert build_record("s", lex(SRC), BugType.ZERO, "99", "0") is None
 
     def test_rewrite_that_breaks_lexing(self):
-        assert build_record("s", SRC, BugType.ZERO, "1", '"unterminated') is None
+        assert build_record("s", lex(SRC), BugType.ZERO, "1", '"unterminated') is None
 
     def test_whitespace_only_rewrite(self):
-        assert build_record("s", "int acc = 1 ;\n", BugType.ZERO, "1 ", " ") is None
+        assert build_record("s", lex("int acc = 1 ;\n"), BugType.ZERO, "1 ", " ") is None
 
 
 class TestGenerateViaLlm:
@@ -118,6 +119,14 @@ class TestGenerateViaLlm:
         report = generate_via_llm([("s", SRC)], client)
         assert report.records == []
         assert report.skipped[0][1] == "snippet pair does not splice into the sample"
+
+    def test_sample_that_does_not_lex_is_skipped_unprompted(self):
+        # the buggy snippet would close the string, but the record's correct code must lex
+        client = ScriptedClient(["FUNCTION: x.", 'TYPE: ZERO\nCORRECT: abc;\nBUGGY: abc";\n'])
+        report = generate_via_llm([("s", 'char *s = "abc;\n')], client)
+        assert report.records == []
+        assert report.skipped == [("s", "sample does not lex")]
+        assert report.n_calls == 0 and client.prompts == []
 
     def test_stub_end_to_end(self):
         samples = make_corpus(4, seed=9)
