@@ -23,8 +23,8 @@ _TAPE_STACK: list["Tape"] = []
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
 
@@ -38,9 +38,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
@@ -193,12 +190,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _record(out, (a,), lambda g: (g.reshape(old),))
 
 
-def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    inverse = tuple(np.argsort(axes))
-    out = Tensor(a.data.transpose(axes))
-    return _record(out, (a,), lambda g: (g.transpose(inverse),))
-
-
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     dtypes = {p.dtype for p in parts}
     if len(dtypes) > 1:
@@ -262,14 +253,9 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _record(out, (a,), bwd)
 
 
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        count = a.data.size
-    elif isinstance(axis, tuple):
-        count = int(np.prod([a.shape[ax] for ax in axis]))
-    else:
-        count = a.shape[axis]
-    return scale(sum_(a, axis=axis, keepdims=keepdims), 1.0 / count)
+def mean(a: Tensor) -> Tensor:
+    """Mean over all elements."""
+    return scale(sum_(a), 1.0 / a.data.size)
 
 
 # --- nonlinearities -------------------------------------------------------------

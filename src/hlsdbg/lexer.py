@@ -103,17 +103,6 @@ class TokenStream:
     def texts(self) -> list[str]:
         return [t.text for t in self.tokens]
 
-    def reconstruct(self) -> str:
-        """Token texts re-joined with the original inter-token gaps."""
-        out: list[str] = []
-        pos = 0
-        for tok in self.tokens:
-            out.append(self.source[pos:tok.byte_start])
-            out.append(tok.text)
-            pos = tok.byte_end
-        out.append(self.source[pos:])
-        return "".join(out)
-
 
 def lex(source: str) -> TokenStream:
     """Lex `source` into a TokenStream.

@@ -2,9 +2,10 @@
 
 Each sample goes through three chained completions: describe the function,
 insert a bug (structured TYPE/CORRECT/BUGGY block), and explain the fix.
-The returned snippets are spliced into the source at the first occurrence
-and re-verified, so malformed completions can only cost a sample, never
-corrupt a record. A deterministic rule-based stub stands in for a real
+The returned correct snippet is spliced only where it occurs exactly once
+in the source, on token boundaries, and the record is re-verified, so
+malformed or ambiguous completions can only cost a sample, never corrupt a
+record. A deterministic rule-based stub stands in for a real
 endpoint in tests and offline runs.
 """
 
@@ -16,11 +17,12 @@ import re
 import time
 import zlib
 from dataclasses import dataclass
+from itertools import chain, takewhile, zip_longest
 from typing import Protocol
 from urllib.parse import urlsplit
 
 from .errors import DataError, LexError
-from .lexer import TokenStream, lex
+from .lexer import TokenStream, lex, tokens_in_byte_range
 from .mutate import BugRecord, BugType, find_sites, inject, splice_record
 
 _CODE_OPEN = "<<<CODE"
@@ -156,12 +158,37 @@ class StubCompletionClient:
                 continue
             site = sites[rng.randrange(len(sites))]
             rec = inject(stream, site, rng.getrandbits(32))
-            return (
-                f"TYPE: {rec.bug_type.value}\n"
-                f"CORRECT: {rec.snippet_correct}\n"
-                f"BUGGY: {rec.snippet_buggy}\n"
-            )
+            correct, buggy = _quote(stream, rec)
+            return f"TYPE: {rec.bug_type.value}\nCORRECT: {correct}\nBUGGY: {buggy}\n"
         return "NO BUG POSSIBLE"
+
+
+def _quote(stream: TokenStream, rec: BugRecord) -> tuple[str, str]:
+    """`rec`'s snippet pair, widened by whole tokens until the correct one occurs once in the code.
+
+    Tokens are added one at a time, alternately after and before the
+    snippet, from its own line only; if the line runs out first, the quote
+    still repeats and `build_record` skips it.
+    """
+    code = stream.source
+    a = rec.buggy_byte_span[0]
+    b = a + len(rec.snippet_correct)
+    lo, hi = tokens_in_byte_range(stream, (a, b))
+    after = takewhile(lambda t: "\n" not in code[b:t.byte_end], stream.tokens[hi:])
+    before = takewhile(lambda t: "\n" not in code[t.byte_start:a], reversed(stream.tokens[:lo]))
+    qa, qb = a, b
+    for t in chain.from_iterable(zip_longest(after, before)):
+        if not _occurs_twice(code, code[qa:qb]):
+            break
+        if t is not None:
+            qa, qb = min(qa, t.byte_start), max(qb, t.byte_end)
+    return code[qa:qb], code[qa:a] + rec.snippet_buggy + code[b:qb]
+
+
+def _occurs_twice(code: str, snippet: str) -> bool:
+    """Whether `snippet` occurs at two or more (possibly overlapping) places in `code`."""
+    at = code.find(snippet)
+    return at != -1 and code.find(snippet, at + 1) != -1
 
 
 def _extract_code(prompt: str) -> str | None:
@@ -222,12 +249,21 @@ def build_record(
     snippet_correct: str,
     snippet_buggy: str,
 ) -> BugRecord | None:
-    """Record from a snippet pair, spliced into the lexed sample at the first occurrence; None if invalid."""
+    """Record from a snippet pair spliced into the lexed sample; None if invalid.
+
+    The correct snippet must occur exactly once in the sample, starting on a
+    token start and ending on a token end: a snippet that repeats, or that
+    matches inside a token, does not say where the bug goes.
+    """
     at = sample.source.find(snippet_correct)
-    if at == -1:
+    if at == -1 or _occurs_twice(sample.source, snippet_correct):
+        return None
+    end = at + len(snippet_correct)
+    lo, hi = tokens_in_byte_range(sample, (at, end))
+    if lo == hi or sample.tokens[lo].byte_start != at or sample.tokens[hi - 1].byte_end != end:
         return None
     try:
-        return splice_record(sample_id, sample, at, at + len(snippet_correct), snippet_buggy, bug_type)
+        return splice_record(sample_id, sample, at, end, snippet_buggy, bug_type)
     except (DataError, ValueError):
         return None
 

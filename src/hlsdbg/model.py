@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor
+from .autodiff import Tensor
 from .errors import DataError
 from .lexer import TokenStream, lex
 from .mutate import BugRecord, BugType
@@ -66,9 +66,6 @@ class Vocab:
 
     def encode(self, texts: Sequence[str]) -> list[int]:
         return [self.token_to_id.get(t, self.UNK) for t in texts]
-
-    def decode(self, ids: Sequence[int]) -> list[str]:
-        return [self.id_to_token[i] for i in ids]
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -128,17 +125,6 @@ class RecordPrediction:
     generated_ids: list[int]
     truncated: bool
     stream: TokenStream = field(repr=False, default=None)
-
-
-def expected_param_count(cfg: ModelConfig) -> int:
-    d, f, v = cfg.d_model, cfg.d_ff, cfg.vocab_size
-    embed = v * d + cfg.max_src_len * d + v * d + cfg.max_tgt_len * d
-    enc = cfg.n_layers_enc * (4 * d * d + 2 * d * f + f + d)
-    dec = cfg.n_layers_dec * (8 * d * d + 2 * d * f + f + d)
-    hidden = (cfg.head_mlp_layers - 1) * (d * d + d)
-    heads = 2 * hidden + (d * 1 + 1) + (d * cfg.n_bug_types + cfg.n_bug_types)
-    out = d * v + v
-    return embed + enc + dec + heads + out
 
 
 def param_spec(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], float]]:
@@ -222,12 +208,6 @@ class DebuggerModel:
         self.config = config
         self.vocab = vocab
         self.params: dict[str, Tensor] = {}
-
-    # --- parameters ---------------------------------------------------------
-
-    @property
-    def parameter_count(self) -> int:
-        return sum(p.data.size for p in self.params.values())
 
     # --- transformer pieces ---------------------------------------------------
 

@@ -219,9 +219,7 @@ class CurveRow:
 class TrainResult:
     curve: list[CurveRow]
     final_epoch: int
-    stopped_early: bool
     n_truncated: int
-    checkpoints: list[Path] = field(default_factory=list)
 
 
 @dataclass
@@ -366,9 +364,7 @@ def _run(state: TrainState, records: Sequence[BugRecord], out_dir: str | Path | 
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
     first_row = len(state.curve)
-    checkpoints: list[Path] = []
     n_truncated = 0
-    stopped = False
     for epoch in range(state.epoch, cfg.epochs):
         order = list(range(len(records)))
         state.rng.shuffle(order)
@@ -405,15 +401,12 @@ def _run(state: TrainState, records: Sequence[BugRecord], out_dir: str | Path | 
             )
         state.epoch = epoch + 1
         if out_path is not None and cfg.checkpoint_every > 0 and state.epoch % cfg.checkpoint_every == 0:
-            ckpt = out_path / f"checkpoint_{state.epoch:05d}.bin"
-            save_checkpoint(ckpt, state)
-            checkpoints.append(ckpt)
+            save_checkpoint(out_path / f"checkpoint_{state.epoch:05d}.bin", state)
         if stop_fn is not None and stop_fn(epoch, model):
-            stopped = True
             break
     if out_path is not None:
         write_curve_csv(out_path / "curve.csv", state.curve)
-    return TrainResult(state.curve[first_row:], state.epoch - 1, stopped, n_truncated, checkpoints)
+    return TrainResult(state.curve[first_row:], state.epoch - 1, n_truncated)
 
 
 # --- config files ----------------------------------------------------------------------

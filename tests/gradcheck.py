@@ -1,4 +1,8 @@
-"""Central-difference verification of tape gradients."""
+"""Central-difference verification of tape gradients.
+
+Kept as a test oracle: `tests/test_autodiff.py` and acceptance criterion 2
+compare every primitive's closed-form backward against it.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, backward
+from hlsdbg.autodiff import Tape, Tensor, backward
 
 
 def check_gradients(

@@ -4,7 +4,8 @@ Kept as a test oracle. `tests/test_lexer.py` asserts that the
 regex-driven production lexer yields the same tokens, or raises the same
 `LexError`, on every input it is given. Its one change since: a string or
 char literal continued with a backslash-newline advances the line count, as
-a block comment does.
+a block comment does. `reconstruct` checks that a stream's tokens and gaps
+rebuild its source.
 """
 
 from __future__ import annotations
@@ -163,3 +164,15 @@ def oracle_lex(source: str) -> TokenStream:
             i += 1
 
     return TokenStream(source=source, tokens=tuple(tokens))
+
+
+def reconstruct(stream: TokenStream) -> str:
+    """Token texts re-joined with the original inter-token gaps."""
+    out: list[str] = []
+    pos = 0
+    for tok in stream.tokens:
+        out.append(stream.source[pos:tok.byte_start])
+        out.append(tok.text)
+        pos = tok.byte_end
+    out.append(stream.source[pos:])
+    return "".join(out)

@@ -4,6 +4,7 @@ import json
 import threading
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +18,7 @@ from hlsdbg.llmgen import (
     generate_via_llm,
     parse_insert_block,
 )
-from hlsdbg.mutate import BugType, verify_record
+from hlsdbg.mutate import BugType, find_sites, verify_record
 from hlsdbg.synth import make_corpus
 
 
@@ -34,6 +35,19 @@ class ScriptedClient:
 
 
 SRC = "int acc = 1;\nint r;\nr = acc;\n"
+TWICE = "int a = 1;\nint b = 1;\n"
+TOY_CORPUS = Path(__file__).resolve().parents[1] / "data" / "toy_corpus"
+
+
+def _finder_rewrites(code, bug_type):
+    """Every buggy code the injector's finders could make of `code` for `bug_type`."""
+    stream = lex(code)
+    out = set()
+    for site in find_sites(stream)[bug_type]:
+        for (lo, hi), text in site.rewrites:
+            a, b = stream.tokens[lo].byte_start, stream.tokens[hi - 1].byte_end
+            out.add(code[:a] + text + code[b:])
+    return out
 
 
 class TestParseInsertBlock:
@@ -62,12 +76,21 @@ class TestParseInsertBlock:
 
 
 class TestBuildRecord:
-    def test_first_occurrence_splice(self):
+    def test_unique_snippet_splice(self):
         rec = build_record("s", lex(SRC), BugType.ZERO, "1", "0")
         assert rec is not None
         assert verify_record(rec)
         assert rec.buggy_code == "int acc = 0;\nint r;\nr = acc;\n"
         assert sum(rec.token_labels) == 1
+
+    def test_snippet_that_occurs_twice(self):
+        assert build_record("s", lex(TWICE), BugType.ZERO, "1", "0") is None
+
+    @pytest.mark.parametrize("snippet", ["cc = 1", "r = ac"])
+    def test_snippet_not_on_token_boundaries(self, snippet):
+        # each occurs once in SRC, but starts or ends inside the identifier `acc`
+        assert SRC.count(snippet) == 1
+        assert build_record("s", lex(SRC), BugType.ZERO, snippet, snippet.replace("c", "d")) is None
 
     def test_snippet_not_present(self):
         assert build_record("s", lex(SRC), BugType.ZERO, "99", "0") is None
@@ -120,6 +143,12 @@ class TestGenerateViaLlm:
         assert report.records == []
         assert report.skipped[0][1] == "snippet pair does not splice into the sample"
 
+    def test_ambiguous_snippet_skips_sample(self):
+        client = ScriptedClient(["FUNCTION: x.", "TYPE: ZERO\nCORRECT: 1\nBUGGY: 0\n"])
+        report = generate_via_llm([("s", TWICE)], client)
+        assert report.records == []
+        assert report.skipped == [("s", "snippet pair does not splice into the sample")]
+
     def test_sample_that_does_not_lex_is_skipped_unprompted(self):
         # the buggy snippet would close the string, but the record's correct code must lex
         client = ScriptedClient(["FUNCTION: x.", 'TYPE: ZERO\nCORRECT: abc;\nBUGGY: abc";\n'])
@@ -137,6 +166,17 @@ class TestGenerateViaLlm:
             assert rec.function_note
             assert rec.strategy
         assert report.n_calls == 12
+
+    @pytest.mark.parametrize("seed", [0, 1, 4])
+    def test_stub_records_are_finder_rewrites(self, seed):
+        # the stub's bare snippets (`1`, `i`, `<`) often repeat; each record must still be the
+        # injector's rewrite of its labelled type, not the same text spliced somewhere else
+        toy = [(p.stem, p.read_text()) for p in sorted(TOY_CORPUS.glob("*.c"))]
+        samples = toy + make_corpus(40, seed=0)
+        report = generate_via_llm(samples, StubCompletionClient(seed=seed))
+        assert len(report.records) == len(samples)
+        for rec in report.records:
+            assert rec.buggy_code in _finder_rewrites(rec.correct_code, rec.bug_type), rec.id
 
     def test_stub_is_deterministic(self):
         samples = make_corpus(3, seed=2)

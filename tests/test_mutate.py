@@ -381,7 +381,7 @@ PINNED_CORPORA = {
     ),
     "llm-stub-toy-seed4": (
         lambda: generate_via_llm(_toy_kernels(), StubCompletionClient(seed=4)).records,
-        "38ec97af6cf5406e5f804a05a296b3ec731aaffff61676c45c61d388739d5a91", 11,
+        "a7fd7976e7debc6e539a577e74b96ee0719d5281dfbbb557e95b66f1066554d9", 11,
     ),
 }
 
