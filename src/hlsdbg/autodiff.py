@@ -203,11 +203,16 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def slice_(a: Tensor, key) -> Tensor:
+    """`a[key]` for a basic-slice `key` (ints and slices only).
+
+    A basic slice cannot select an element twice, so the backward pass
+    assigns the gradient into zeros rather than accumulating it.
+    """
     out = Tensor(a.data[key])
 
     def bwd(g):
         full = np.zeros_like(a.data)
-        np.add.at(full, key, g)
+        full[key] = g
         return (full,)
 
     return _record(out, (a,), bwd)

@@ -17,7 +17,7 @@ import re
 import time
 import zlib
 from dataclasses import dataclass
-from itertools import chain, takewhile, zip_longest
+from itertools import chain, islice, takewhile, zip_longest
 from typing import Protocol
 from urllib.parse import urlsplit
 
@@ -253,7 +253,11 @@ def build_record(
 
     The correct snippet must occur exactly once in the sample, starting on a
     token start and ending on a token end: a snippet that repeats, or that
-    matches inside a token, does not say where the bug goes.
+    matches inside a token, does not say where the bug goes. The tokens both
+    snippets share at either end are context, not the bug, so only the
+    tokens between them are spliced and flagged, keeping at least one token
+    of each snippet. A pair whose tokens are all the same changes only
+    whitespace and makes no record.
     """
     at = sample.source.find(snippet_correct)
     if at == -1 or _occurs_twice(sample.source, snippet_correct):
@@ -263,9 +267,27 @@ def build_record(
     if lo == hi or sample.tokens[lo].byte_start != at or sample.tokens[hi - 1].byte_end != end:
         return None
     try:
+        buggy = lex(snippet_buggy).tokens
+    except DataError:
+        return None
+    correct = sample.tokens[lo:hi]
+    if [t.text for t in buggy] == [t.text for t in correct]:
+        return None
+    if buggy:
+        keep = min(len(correct), len(buggy)) - 1
+        tail = _n_shared(reversed(correct), reversed(buggy), keep)
+        head = _n_shared(correct, buggy, keep - tail)
+        at, end = correct[head].byte_start, correct[-1 - tail].byte_end
+        snippet_buggy = snippet_buggy[buggy[head].byte_start : buggy[-1 - tail].byte_end]
+    try:
         return splice_record(sample_id, sample, at, end, snippet_buggy, bug_type)
     except (DataError, ValueError):
         return None
+
+
+def _n_shared(xs, ys, limit: int) -> int:
+    """How many leading token pairs of `xs` and `ys`, at most `limit`, have equal texts."""
+    return sum(1 for _ in takewhile(lambda pair: pair[0].text == pair[1].text, islice(zip(xs, ys), limit)))
 
 
 def generate_via_llm(

@@ -26,31 +26,31 @@ _NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 def save_tensors(path: str | Path, tensors: dict[str, np.ndarray], meta: dict | None = None) -> None:
     entries = []
     offset = 0
-    blobs = []
+    arrays = []
     for name in sorted(tensors):
         arr = np.ascontiguousarray(tensors[name])
         if arr.dtype not in _NAMES:
             raise ValueError(f"unsupported dtype {arr.dtype} for tensor {name!r}")
         dtype = _NAMES[arr.dtype]
-        blob = arr.astype(_DTYPES[dtype], copy=False).tobytes()
+        arr = arr.astype(_DTYPES[dtype], copy=False)
         entries.append(
             {
                 "name": name,
                 "dtype": dtype,
                 "shape": list(arr.shape),
                 "offset": offset,
-                "nbytes": len(blob),
+                "nbytes": arr.nbytes,
             }
         )
-        blobs.append(blob)
-        offset += len(blob)
+        arrays.append(arr)
+        offset += arr.nbytes
     header = json.dumps({"meta": meta or {}, "tensors": entries}, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+        for arr in arrays:
+            fh.write(memoryview(arr))  # the contiguous little-endian buffer, not a bytes copy of it
 
 
 def load_tensors(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:

@@ -3,8 +3,9 @@
 Per step, the encoder loss combines the type head's cross entropy and the
 token head's weighted binary cross entropy; the decoder adds teacher-forced
 next-token cross entropy over the correct snippet. The three parts are
-scaled and summed into one objective. Training order, the given-location
-coin flips, and therefore the loss curve are a pure function of the seed.
+scaled and summed into one objective. Batches group records of similar
+input length. Training order, the given-location coin flips, the batches,
+and therefore the loss curve are a pure function of the seed.
 A run advances one `TrainState` and a checkpoint holds one, optimizer and
 RNG state included, so a resumed run reproduces the uninterrupted curve bit
 for bit.
@@ -154,6 +155,49 @@ def loss_all(
 
 # --- batching ------------------------------------------------------------------
 
+# Each epoch sorts windows of this many batches by encoder input length, so a
+# batch pads its rows to a near-equal length, as Vaswani et al. (2017) batched.
+BUCKET_BATCHES = 8
+
+
+@dataclass
+class _Example:
+    """What one record contributes to any batch, prepared once per run."""
+
+    ids: list[int]  # plain encoder input ids
+    token_labels: list[int]
+    span: tuple[int, int]  # the label span that given-location rows bracket
+    type_label: int
+    target: list[int]  # decoder target ids, END last
+
+
+def _example(model: DebuggerModel, rec: BugRecord) -> _Example:
+    return _Example(model.input_ids(lex(rec.buggy_code)), rec.token_labels, label_span(rec),
+                    BUG_TYPE_INDEX[rec.bug_type], model.target_ids(rec))
+
+
+def _epoch_batches(
+    lengths: Sequence[int], batch_size: int, given_fraction: float, rng: random.Random
+) -> list[list[tuple[int, bool]]]:
+    """One epoch's batches of (record index, given-location coin flip).
+
+    The records are shuffled and each draws its coin flip; then each window
+    of `BUCKET_BATCHES * batch_size` positions is sorted by encoder input
+    length (`lengths[i]`, plus the two sentinels of a given-location row),
+    cut into batches, and the epoch's batches are shuffled. Every draw comes
+    from `rng`, so the batches are a pure function of its state.
+    """
+    order = list(range(len(lengths)))
+    rng.shuffle(order)
+    drawn = [(i, rng.random() < given_fraction) for i in order]
+    window = BUCKET_BATCHES * batch_size
+    batches = []
+    for at in range(0, len(drawn), window):
+        part = sorted(drawn[at : at + window], key=lambda d: lengths[d[0]] + 2 * d[1])
+        batches += [part[i : i + batch_size] for i in range(0, len(part), batch_size)]
+    rng.shuffle(batches)
+    return batches
+
 
 @dataclass
 class _Batch:
@@ -165,27 +209,29 @@ class _Batch:
     tgt_keep: np.ndarray
 
 
-def _build_batch(model: DebuggerModel, records: Sequence[BugRecord], givens: Sequence[bool]) -> _Batch:
-    ids_batch, bug_rows, type_labels, tgt_rows = [], [], [], []
-    for rec, given in zip(records, givens):
-        span = label_span(rec) if given else None
-        ids_batch.append(model.input_ids(lex(rec.buggy_code), span))
-        bug_rows.append(rec.token_labels if span is None else bracket(rec.token_labels, span, 0, 0))
-        type_labels.append(BUG_TYPE_INDEX[rec.bug_type])
-        tgt_rows.append(model.target_ids(rec))
-    t = max(len(r) for r in tgt_rows)
-    b = len(records)
+def _build_batch(model: DebuggerModel, examples: Sequence[_Example], givens: Sequence[bool]) -> _Batch:
+    ids_batch, bug_rows = [], []
+    for ex, given in zip(examples, givens):
+        if given:
+            ids_batch.append(bracket(ex.ids, ex.span, Vocab.BUG_OPEN, Vocab.BUG_CLOSE))
+            bug_rows.append(bracket(ex.token_labels, ex.span, 0, 0))
+        else:
+            ids_batch.append(ex.ids)
+            bug_rows.append(ex.token_labels)
+    t = max(len(ex.target) for ex in examples)
+    b = len(examples)
     tgt_in = np.full((b, t), Vocab.PAD, dtype=np.int64)
     tgt_out = np.full((b, t), Vocab.PAD, dtype=np.int64)
     keep = np.zeros((b, t), dtype=model.config.np_dtype)
-    for i, row in enumerate(tgt_rows):
+    for i, ex in enumerate(examples):
+        row = ex.target
         tgt_in[i, : len(row)] = [Vocab.START] + row[:-1]
         tgt_out[i, : len(row)] = row
         keep[i, : len(row)] = 1.0
     return _Batch(
         ids=ids_batch,
         bug_rows=bug_rows,
-        type_labels=np.asarray(type_labels, dtype=np.int64),
+        type_labels=np.asarray([ex.type_label for ex in examples], dtype=np.int64),
         tgt_in=tgt_in,
         tgt_out=tgt_out,
         tgt_keep=keep,
@@ -365,15 +411,11 @@ def _run(state: TrainState, records: Sequence[BugRecord], out_dir: str | Path | 
         out_path.mkdir(parents=True, exist_ok=True)
     first_row = len(state.curve)
     n_truncated = 0
+    examples = [_example(model, rec) for rec in records]
+    lengths = [len(ex.ids) for ex in examples]
     for epoch in range(state.epoch, cfg.epochs):
-        order = list(range(len(records)))
-        state.rng.shuffle(order)
-        givens = [state.rng.random() < cfg.given_location_fraction for _ in order]
-        for at in range(0, len(order), cfg.batch_size):
-            chunk = order[at : at + cfg.batch_size]
-            batch = _build_batch(
-                model, [records[i] for i in chunk], [givens[j] for j in range(at, at + len(chunk))]
-            )
+        for chunk in _epoch_batches(lengths, cfg.batch_size, cfg.given_location_fraction, state.rng):
+            batch = _build_batch(model, [examples[i] for i, _ in chunk], [given for _, given in chunk])
             with Tape() as tape:
                 enc = model.encode_ids(batch.ids)
                 n_truncated += sum(enc.truncated)

@@ -164,9 +164,9 @@ def test_criterion_2_gradient_checks():
         head_mlp_layers=2, dtype="f64",
     )
     model = DebuggerModel(config, vocab, seed=23)
-    from hlsdbg.training import _build_batch, _token_label_arrays
+    from hlsdbg.training import _build_batch, _example, _token_label_arrays
 
-    batch = _build_batch(model, records, [False, True])
+    batch = _build_batch(model, [_example(model, r) for r in records], [False, True])
     weights = LossWeights()
 
     def full_loss():

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -373,6 +376,27 @@ class TestTensorStore:
         save_tensors(p1, tensors)
         save_tensors(p2, tensors)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_file_is_magic_length_header_then_payloads(self, tmp_path):
+        # the layout built by hand, each payload a `tobytes()` copy, in name order
+        tensors = {
+            "w": np.arange(6, dtype=np.float32).reshape(2, 3).T,  # not contiguous
+            "b": np.array([1.5, -2.5, 0.25], dtype=np.float64),
+            "e": np.zeros((0, 4), dtype=np.float32),
+        }
+        path = tmp_path / "layout.bin"
+        save_tensors(path, tensors, meta={"step": 3})
+        names = sorted(tensors)
+        payloads = [tensors[n].astype(tensors[n].dtype.newbyteorder("<")).tobytes() for n in names]
+        entries, offset = [], 0
+        for name, blob in zip(names, payloads):
+            dtype = "f32" if tensors[name].dtype == np.float32 else "f64"
+            entries.append({"name": name, "dtype": dtype, "shape": list(tensors[name].shape),
+                            "offset": offset, "nbytes": len(blob)})
+            offset += len(blob)
+        header = json.dumps({"meta": {"step": 3}, "tensors": entries}, sort_keys=True).encode("utf-8")
+        want = b"HLSDBG1" + struct.pack("<Q", len(header)) + header + b"".join(payloads)
+        assert path.read_bytes() == want
 
     def test_magic_prefix(self, tmp_path):
         path = tmp_path / "c.bin"

@@ -101,6 +101,24 @@ class TestBuildRecord:
     def test_whitespace_only_rewrite(self):
         assert build_record("s", lex("int acc = 1 ;\n"), BugType.ZERO, "1 ", " ") is None
 
+    def test_pair_that_changes_only_whitespace(self):
+        assert build_record("s", lex("int acc = a + b;\n"), BugType.ZERO, "a + b", "a+b") is None
+
+    def test_shared_context_tokens_are_not_spliced(self):
+        rec = build_record("s", lex(SRC), BugType.ZERO, "acc = 1;", "acc  =  0 ;")
+        assert (rec.snippet_correct, rec.snippet_buggy, rec.buggy_byte_span) == ("1", "0", (10, 11))
+        assert rec.buggy_code == "int acc = 0;\nint r;\nr = acc;\n"
+
+    @pytest.mark.parametrize("correct, buggy, flagged", [
+        ("k = 0;", "k;", ["k"]),  # a deletion keeps one token of each snippet
+        ("r = acc", "r = acc + 1", ["acc", "+", "1"]),  # and so does an insertion
+    ])
+    def test_one_token_of_each_snippet_stays(self, correct, buggy, flagged):
+        code = "int k = 0;\nint r;\nr = acc;\n"
+        rec = build_record("s", lex(code), BugType.INIT, correct, buggy)
+        tokens = lex(rec.buggy_code).tokens
+        assert [t.text for t, y in zip(tokens, rec.token_labels) if y] == flagged
+
 
 class TestGenerateViaLlm:
     def test_scripted_happy_path(self):
@@ -177,6 +195,14 @@ class TestGenerateViaLlm:
         assert len(report.records) == len(samples)
         for rec in report.records:
             assert rec.buggy_code in _finder_rewrites(rec.correct_code, rec.bug_type), rec.id
+
+    def test_stub_record_flags_only_the_changed_token(self):
+        # the stub quotes downsample's `= 8;` as `= 0;`; `=` and `;` are context the injector never flags
+        sample = ("downsample", (TOY_CORPUS / "downsample.c").read_text())
+        (rec,) = generate_via_llm([sample], StubCompletionClient(seed=4)).records
+        tokens = lex(rec.buggy_code).tokens
+        assert (rec.snippet_correct, rec.snippet_buggy) == ("8", "0")
+        assert [t.text for t, y in zip(tokens, rec.token_labels) if y] == ["0"]
 
     def test_stub_is_deterministic(self):
         samples = make_corpus(3, seed=2)

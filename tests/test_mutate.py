@@ -381,7 +381,7 @@ PINNED_CORPORA = {
     ),
     "llm-stub-toy-seed4": (
         lambda: generate_via_llm(_toy_kernels(), StubCompletionClient(seed=4)).records,
-        "a7fd7976e7debc6e539a577e74b96ee0719d5281dfbbb557e95b66f1066554d9", 11,
+        "3c312ed0893a946efcf14abe120765998c14e02b2f378f0514ac39ccd7502279", 11,
     ),
 }
 

@@ -1,11 +1,14 @@
+import collections
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
 
 from hlsdbg.autodiff import Tape, Tensor, backward
 from hlsdbg.errors import DataError, NumericError
+from hlsdbg.lexer import lex
 from hlsdbg.model import DebuggerModel, ModelConfig, Vocab
 from hlsdbg.mutate import generate_corpus
 from hlsdbg.synth import make_corpus
@@ -13,6 +16,7 @@ from hlsdbg.training import (
     CURVE_HEADER,
     LossWeights,
     TrainConfig,
+    _epoch_batches,
     load_checkpoint,
     loss_all,
     loss_bug,
@@ -25,6 +29,7 @@ from hlsdbg.training import (
     train,
     write_curve_csv,
 )
+from test_acceptance import OVERFIT_SEEDS, TOY_CORPUS
 
 
 def _t(data):
@@ -201,9 +206,9 @@ class TestLossAll:
 
 
 def _one_step_grads(model, records, weights):
-    from hlsdbg.training import _build_batch, _token_label_arrays
+    from hlsdbg.training import _build_batch, _example, _token_label_arrays
 
-    batch = _build_batch(model, records[:2], [False, False])
+    batch = _build_batch(model, [_example(model, r) for r in records[:2]], [False, False])
     with Tape() as tape:
         enc = model.encode_ids(batch.ids)
         labels, mask = _token_label_arrays(batch, enc.token_counts, enc.e_tokens.shape[1], np.float64)
@@ -380,6 +385,57 @@ class TestTrain:
         save_tensors(ckpt, tensors, meta=meta)
         with pytest.raises(DataError):
             load_checkpoint(ckpt)
+
+
+# --- length-bucketed batches -------------------------------------------------------
+
+
+def _padded_slots(batches, lengths):
+    """Encoder slots that hold padding when each batch pads its rows to its longest."""
+    rows = [[lengths[i] + 2 * given for i, given in batch] for batch in batches]
+    return sum(len(r) * max(r) - sum(r) for r in rows)
+
+
+class TestBucketing:
+    @pytest.mark.parametrize("n, batch_size", [(32, 4), (75, 4), (5, 8)])
+    def test_each_record_once_with_its_coin_flip(self, n, batch_size):
+        lengths = [random.Random(n + i).randrange(20, 200) for i in range(n)]
+        draws = random.Random(3)  # the draws as `_epoch_batches` makes them: shuffle, then one flip per position
+        order = list(range(n))
+        draws.shuffle(order)
+        flips = {i: draws.random() < 0.5 for i in order}
+        batches = _epoch_batches(lengths, batch_size, 0.5, random.Random(3))
+        pairs = [pair for batch in batches for pair in batch]
+        assert sorted(i for i, _ in pairs) == list(range(n))
+        assert dict(pairs) == flips
+        assert sum(len(batch) < batch_size for batch in batches) == (n % batch_size > 0)
+
+    @pytest.mark.parametrize("seed", [OVERFIT_SEEDS["train"], 0, 1, 2])
+    def test_no_more_padding_than_random_batches(self, seed):
+        kernels = [(p.stem, p.read_text()) for p in sorted(TOY_CORPUS.glob("*.c"))]
+        records = generate_corpus(kernels, per_sample=3, seed=OVERFIT_SEEDS["inject"]).records[:32]
+        lengths = [lex(r.buggy_code).n_tokens for r in records]
+        draws = random.Random(seed)
+        order = list(range(len(records)))
+        draws.shuffle(order)
+        drawn = [(i, draws.random() < 0.25) for i in order]
+        unsorted = [drawn[at : at + 4] for at in range(0, len(drawn), 4)]
+        bucketed = _epoch_batches(lengths, 4, 0.25, random.Random(seed))
+        assert _padded_slots(bucketed, lengths) <= _padded_slots(unsorted, lengths)
+
+    def test_train_lexes_each_record_once(self, vocab, records, monkeypatch):
+        from hlsdbg import training
+
+        seen = collections.Counter()
+
+        def counting_lex(source):
+            seen[source] += 1
+            return lex(source)
+
+        monkeypatch.setattr(training, "lex", counting_lex)
+        cfg = TrainConfig(epochs=3, batch_size=2, lr=1e-3, seed=0, given_location_fraction=0.5)
+        train(_tiny_model(vocab), records[:4], cfg)
+        assert seen == collections.Counter(r.buggy_code for r in records[:4])
 
 
 # --- learning-rate schedule --------------------------------------------------------
