@@ -246,13 +246,13 @@ def record_from_dict(payload: dict, lineno: int = 0) -> BugRecord:
     except ValueError:
         raise JsonlError(f"unknown bug_type {payload['bug_type']!r}", lineno) from None
     span = payload["buggy_byte_span"]
-    if not (isinstance(span, list) and len(span) == 2 and all(isinstance(v, int) for v in span)):
+    if not (isinstance(span, list) and len(span) == 2 and all(type(v) is int for v in span)):
         raise JsonlError("buggy_byte_span must be [start, end]", lineno)
     labels = payload["token_labels"]
-    if not (isinstance(labels, list) and all(v in (0, 1) for v in labels)):
+    if not (isinstance(labels, list) and all(type(v) is int and v in (0, 1) for v in labels)):
         raise JsonlError("token_labels must be a list of 0/1", lineno)
     lines = payload["line_labels"]
-    if not (isinstance(lines, list) and all(isinstance(v, int) for v in lines)):
+    if not (isinstance(lines, list) and all(type(v) is int for v in lines)):
         raise JsonlError("line_labels must be a list of ints", lineno)
     known = set(_REQUIRED_FIELDS) | set(_OPTIONAL_FIELDS)
     record = BugRecord(

@@ -23,7 +23,7 @@ from urllib.parse import urlsplit
 
 from .errors import DataError, LexError
 from .lexer import TokenStream, lex, tokens_in_byte_range
-from .mutate import BugRecord, BugType, find_sites, inject, splice_record
+from .mutate import BugRecord, BugType, draw_rewrite, find_sites, span_bytes, splice_record
 
 _CODE_OPEN = "<<<CODE"
 _CODE_CLOSE = "CODE>>>"
@@ -157,22 +157,20 @@ class StubCompletionClient:
             if not sites:
                 continue
             site = sites[rng.randrange(len(sites))]
-            rec = inject(stream, site, rng.getrandbits(32))
-            correct, buggy = _quote(stream, rec)
-            return f"TYPE: {rec.bug_type.value}\nCORRECT: {correct}\nBUGGY: {buggy}\n"
+            span, text = draw_rewrite(site, rng.getrandbits(32))
+            correct, buggy = _quote(stream, *span_bytes(stream, span), text)
+            return f"TYPE: {t.value}\nCORRECT: {correct}\nBUGGY: {buggy}\n"
         return "NO BUG POSSIBLE"
 
 
-def _quote(stream: TokenStream, rec: BugRecord) -> tuple[str, str]:
-    """`rec`'s snippet pair, widened by whole tokens until the correct one occurs once in the code.
+def _quote(stream: TokenStream, a: int, b: int, text: str) -> tuple[str, str]:
+    """The pair (`source[a:b]`, `text`), widened by whole tokens until the correct one occurs once in the code.
 
     Tokens are added one at a time, alternately after and before the
     snippet, from its own line only; if the line runs out first, the quote
     still repeats and `build_record` skips it.
     """
     code = stream.source
-    a = rec.buggy_byte_span[0]
-    b = a + len(rec.snippet_correct)
     lo, hi = tokens_in_byte_range(stream, (a, b))
     after = takewhile(lambda t: "\n" not in code[b:t.byte_end], stream.tokens[hi:])
     before = takewhile(lambda t: "\n" not in code[t.byte_start:a], reversed(stream.tokens[:lo]))
@@ -182,7 +180,7 @@ def _quote(stream: TokenStream, rec: BugRecord) -> tuple[str, str]:
             break
         if t is not None:
             qa, qb = min(qa, t.byte_start), max(qb, t.byte_end)
-    return code[qa:qb], code[qa:a] + rec.snippet_buggy + code[b:qb]
+    return code[qa:qb], code[qa:a] + text + code[b:qb]
 
 
 def _occurs_twice(code: str, snippet: str) -> bool:

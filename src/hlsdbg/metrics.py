@@ -73,18 +73,9 @@ def rank_auc(scores: Sequence[float], labels: Sequence[int]) -> float | None:
     n_neg = int(y.size - n_pos)
     if n_pos == 0 or n_neg == 0:
         return None
-    order = np.argsort(s, kind="mergesort")
-    sorted_scores = s[order]
-    ranks = np.empty(s.size, dtype=np.float64)
-    i = 0
-    while i < s.size:
-        j = i
-        while j + 1 < s.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[i : j + 1] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    by_position = np.empty(s.size, dtype=np.float64)
-    by_position[order] = ranks
+    # 1-based ranks, ties averaged; each NaN ranks alone, as NaN != NaN
+    _, inverse, counts = np.unique(s, return_inverse=True, return_counts=True, equal_nan=False)
+    by_position = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
     pos_rank_sum = float(by_position[y == 1].sum())
     u = pos_rank_sum - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)

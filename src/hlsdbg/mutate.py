@@ -494,25 +494,29 @@ _FINDERS = {
 # --- injection ---------------------------------------------------------------
 
 
-def _span_bytes(stream: TokenStream, span: tuple[int, int]) -> tuple[int, int]:
+def span_bytes(stream: TokenStream, span: tuple[int, int]) -> tuple[int, int]:
+    """The byte interval of a half-open token span."""
     lo, hi = span
     return stream.tokens[lo].byte_start, stream.tokens[hi - 1].byte_end
 
 
-def inject(stream: TokenStream, site: MutationSite, seed: int) -> BugRecord:
-    """Apply one of `site`'s rewrites to the stream, returning a verified BugRecord.
-
-    `seed` draws the rewrite through its own PRNG, so identical
-    (stream, site, seed) triples give identical records.
-    """
-    if site.token_span[1] > len(stream.tokens) or _span_bytes(stream, site.token_span)[1] > len(stream.source):
-        raise ValueError("site does not belong to this stream")
+def draw_rewrite(site: MutationSite, seed: int) -> Rewrite:
+    """The one of `site`'s rewrites that `seed` draws, through its own PRNG."""
     rng = random.Random(seed)
     if site.bug_type is BugType.OOB:  # a coin, not `choice`: seeded corpora were built with it
-        span, buggy_text = site.rewrites[0 if rng.random() < 0.5 else 1]
-    else:
-        span, buggy_text = rng.choice(site.rewrites)
-    a, b = _span_bytes(stream, span)
+        return site.rewrites[0 if rng.random() < 0.5 else 1]
+    return rng.choice(site.rewrites)
+
+
+def inject(stream: TokenStream, site: MutationSite, seed: int) -> BugRecord:
+    """Apply the rewrite `draw_rewrite(site, seed)` to the stream, returning a verified BugRecord.
+
+    Identical (stream, site, seed) triples give identical records.
+    """
+    if site.token_span[1] > len(stream.tokens) or span_bytes(stream, site.token_span)[1] > len(stream.source):
+        raise ValueError("site does not belong to this stream")
+    span, buggy_text = draw_rewrite(site, seed)
+    a, b = span_bytes(stream, span)
     t = site.bug_type
     return splice_record(f"{t.value.lower()}-{a}-{b}-{seed & 0xFFFFFFFF:08x}", stream, a, b, buggy_text, t)
 

@@ -28,7 +28,7 @@ def save_tensors(path: str | Path, tensors: dict[str, np.ndarray], meta: dict | 
     offset = 0
     arrays = []
     for name in sorted(tensors):
-        arr = np.ascontiguousarray(tensors[name])
+        arr = np.asarray(tensors[name], order="C")  # C order, and a 0-d array stays 0-d
         if arr.dtype not in _NAMES:
             raise ValueError(f"unsupported dtype {arr.dtype} for tensor {name!r}")
         dtype = _NAMES[arr.dtype]

@@ -238,15 +238,25 @@ def _build_batch(model: DebuggerModel, examples: Sequence[_Example], givens: Seq
     )
 
 
-def _token_label_arrays(batch: _Batch, token_counts: list[int], s_tokens: int, dtype):
-    b = len(batch.bug_rows)
-    labels = np.zeros((b, s_tokens), dtype=dtype)
-    mask = np.zeros((b, s_tokens), dtype=dtype)
-    for i, row in enumerate(batch.bug_rows):
-        n = token_counts[i]
+def batch_losses(
+    model: DebuggerModel, batch: _Batch, weights: LossWeights
+) -> tuple[list[bool], Tensor, Tensor, Tensor, Tensor]:
+    """(rows the encoder truncated, L_type, L_bug, L_decoder, L_all) of one batch.
+
+    The one training objective: the trainer steps on it and the gradient
+    checks differentiate it. The bug loss covers the token positions the
+    encoder kept, as its padding mask says.
+    """
+    enc = model.encode_ids(batch.ids)
+    mask = enc.pad_mask[:, 1:]  # without the pooled slot
+    labels = np.zeros_like(mask)
+    for i, (row, n) in enumerate(zip(batch.bug_rows, enc.token_counts)):
         labels[i, :n] = row[:n]
-        mask[i, :n] = 1.0
-    return labels, mask
+    l_t = loss_type(model.type_logits(enc), batch.type_labels)
+    l_b = loss_bug(model.bug_logits(enc), labels, mask, weights)
+    l_d = loss_decoder(model.decoder_logits(enc, batch.tgt_in, batch.tgt_keep), batch.tgt_out, batch.tgt_keep)
+    combined, _ = loss_all(l_t, l_b, l_d, weights)
+    return enc.truncated, l_t, l_b, l_d, combined
 
 
 # --- curve + checkpoints -----------------------------------------------------------
@@ -265,7 +275,7 @@ class CurveRow:
 class TrainResult:
     curve: list[CurveRow]
     final_epoch: int
-    n_truncated: int
+    n_truncated: int  # records the encoder truncated in at least one step of the call
 
 
 @dataclass
@@ -410,27 +420,16 @@ def _run(state: TrainState, records: Sequence[BugRecord], out_dir: str | Path | 
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
     first_row = len(state.curve)
-    n_truncated = 0
+    cut: set[int] = set()
     examples = [_example(model, rec) for rec in records]
     lengths = [len(ex.ids) for ex in examples]
     for epoch in range(state.epoch, cfg.epochs):
         for chunk in _epoch_batches(lengths, cfg.batch_size, cfg.given_location_fraction, state.rng):
             batch = _build_batch(model, [examples[i] for i, _ in chunk], [given for _, given in chunk])
             with Tape() as tape:
-                enc = model.encode_ids(batch.ids)
-                n_truncated += sum(enc.truncated)
-                labels, mask = _token_label_arrays(
-                    batch, enc.token_counts, enc.e_tokens.shape[1], model.config.np_dtype
-                )
-                l_t = loss_type(model.type_logits(enc), batch.type_labels)
-                l_b = loss_bug(model.bug_logits(enc), labels, mask, weights)
-                l_d = loss_decoder(
-                    model.decoder_logits(enc, batch.tgt_in, batch.tgt_keep),
-                    batch.tgt_out,
-                    batch.tgt_keep,
-                )
-                combined, _ = loss_all(l_t, l_b, l_d, weights)
+                truncated, l_t, l_b, l_d, combined = batch_losses(model, batch, weights)
                 check_finite(combined, "training loss")
+            cut.update(i for (i, _), t in zip(chunk, truncated) if t)
             backward(tape, combined)
             if cfg.clip_norm > 0:
                 clip_global_norm(model.params, cfg.clip_norm)
@@ -448,7 +447,7 @@ def _run(state: TrainState, records: Sequence[BugRecord], out_dir: str | Path | 
             break
     if out_path is not None:
         write_curve_csv(out_path / "curve.csv", state.curve)
-    return TrainResult(state.curve[first_row:], state.epoch - 1, n_truncated)
+    return TrainResult(state.curve[first_row:], state.epoch - 1, len(cut))
 
 
 # --- config files ----------------------------------------------------------------------

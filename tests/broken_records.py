@@ -28,6 +28,13 @@ def _correct_does_not_lex(r):
             "line_labels": [1]}
 
 
+def _tiny(r, **fields):
+    # consistent: `a` -> `b` at byte 0, one flagged token on line 1
+    return {**r, "correct_code": "a = 1;\n", "buggy_code": "b = 1;\n", "snippet_correct": "a",
+            "snippet_buggy": "b", "buggy_byte_span": [0, 1], "token_labels": [1, 0, 0, 0], "line_labels": [1],
+            **fields}
+
+
 BROKEN = {
     "line-labels": (lambda r: {**r, "line_labels": [999]}, "line_labels"),
     "byte-span": (lambda r: {**r, "buggy_byte_span": [-5, 100000]}, "buggy_byte_span"),
@@ -40,4 +47,9 @@ BROKEN = {
     "no-tokens": (_no_tokens, "covers no token"),
     "does-not-lex": (lambda r: {**r, "buggy_code": r["buggy_code"] + "/*"}, "does not lex"),
     "correct-does-not-lex": (_correct_does_not_lex, "correct_code does not lex: line 1, col 11"),
+    # JSON true, false, 0.0 and 1.0 compare equal to Python's 1 and 0, but are not ints
+    "bool-label": (lambda r: {**r, "token_labels": [bool(v) for v in r["token_labels"]]}, "token_labels must be"),
+    "float-label": (lambda r: {**r, "token_labels": [float(v) for v in r["token_labels"]]}, "token_labels must be"),
+    "bool-span": (lambda r: _tiny(r, buggy_byte_span=[False, True]), "buggy_byte_span must be"),
+    "bool-line": (lambda r: _tiny(r, line_labels=[True]), "line_labels must be"),
 }

@@ -164,21 +164,12 @@ def test_criterion_2_gradient_checks():
         head_mlp_layers=2, dtype="f64",
     )
     model = DebuggerModel(config, vocab, seed=23)
-    from hlsdbg.training import _build_batch, _example, _token_label_arrays
+    from hlsdbg.training import _build_batch, _example, batch_losses
 
     batch = _build_batch(model, [_example(model, r) for r in records], [False, True])
-    weights = LossWeights()
 
-    def full_loss():
-        enc = model.encode_ids(batch.ids)
-        labels, mask = _token_label_arrays(batch, enc.token_counts, enc.e_tokens.shape[1], np.float64)
-        l_t = loss_type(model.type_logits(enc), batch.type_labels)
-        l_b = loss_bug(model.bug_logits(enc), labels, mask, weights)
-        l_d = loss_decoder(
-            model.decoder_logits(enc, batch.tgt_in, batch.tgt_keep), batch.tgt_out, batch.tgt_keep
-        )
-        combined, _ = loss_all(l_t, l_b, l_d, weights)
-        return combined
+    def full_loss():  # the trainer's objective, as it steps on it
+        return batch_losses(model, batch, LossWeights())[-1]
 
     params = list(model.params.values())
     n_elems = sum(p.data.size for p in params)

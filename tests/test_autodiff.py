@@ -370,6 +370,12 @@ class TestTensorStore:
         assert back["w"].dtype == np.float64 and np.array_equal(back["w"], tensors["w"])
         assert back["b"].dtype == np.float32 and np.array_equal(back["b"], tensors["b"])
 
+    def test_zero_d_array_keeps_its_shape(self, tmp_path):
+        path = tmp_path / "scalar.bin"
+        save_tensors(path, {"s": np.array(3.0)})
+        back, _ = load_tensors(path)
+        assert back["s"].shape == () and back["s"].dtype == np.float64 and float(back["s"]) == 3.0
+
     def test_byte_identical_rewrite(self, tmp_path):
         tensors = {"w": np.ones((3, 3), dtype=np.float32)}
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"

@@ -245,6 +245,16 @@ class TestTrainEvalDebug:
         manifest = json.loads((second / "model.bin.manifest.json").read_text())
         assert any("resumed" in note for note in manifest["notes"])
 
+    def test_truncated_inputs_counts_records_not_steps(self, tmp_path):
+        records = tmp_path / "records.jsonl"
+        assert _run(["inject", "--synth", "2", "--per-sample", "4", "--seed", "5", "--out", str(records)]) == 0
+        cfg = tmp_path / "cut.cfg"  # every record is longer than 16 tokens
+        cfg.write_text(TINY_CONFIG.replace("epochs = 2", "epochs = 3").replace("max_src_len = 256", "max_src_len = 16"))
+        assert _run(["train", "--records", str(records), "--out-dir", str(tmp_path / "run"), "--config", str(cfg)]) == 0
+        counts = json.loads((tmp_path / "run" / "model.bin.manifest.json").read_text())["counts"]
+        assert counts["records"] == 8 and counts["epochs"] == 3
+        assert counts["truncated_inputs"] == 8
+
     def test_eval_prints_summary_and_csv(self, tmp_path, trained_dir, records_path, capsys):
         out_csv = tmp_path / "metrics.csv"
         code = _run([

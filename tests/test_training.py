@@ -16,7 +16,10 @@ from hlsdbg.training import (
     CURVE_HEADER,
     LossWeights,
     TrainConfig,
+    _build_batch,
     _epoch_batches,
+    _example,
+    batch_losses,
     load_checkpoint,
     loss_all,
     loss_bug,
@@ -206,16 +209,9 @@ class TestLossAll:
 
 
 def _one_step_grads(model, records, weights):
-    from hlsdbg.training import _build_batch, _example, _token_label_arrays
-
     batch = _build_batch(model, [_example(model, r) for r in records[:2]], [False, False])
     with Tape() as tape:
-        enc = model.encode_ids(batch.ids)
-        labels, mask = _token_label_arrays(batch, enc.token_counts, enc.e_tokens.shape[1], np.float64)
-        l_t = loss_type(model.type_logits(enc), batch.type_labels)
-        l_b = loss_bug(model.bug_logits(enc), labels, mask, weights)
-        l_d = loss_decoder(model.decoder_logits(enc, batch.tgt_in, batch.tgt_keep), batch.tgt_out, batch.tgt_keep)
-        combined, _ = loss_all(l_t, l_b, l_d, weights)
+        combined = batch_losses(model, batch, weights)[-1]
     backward(tape, combined)
     grads = {k: (None if p.grad is None else p.grad.copy()) for k, p in model.params.items()}
     for p in model.params.values():
@@ -280,6 +276,17 @@ class TestTrain:
         cfg = TrainConfig(epochs=50, batch_size=4, lr=1e-3, seed=5)
         result = train(model, records[:4], cfg, stop_fn=lambda epoch, m: epoch >= 1)
         assert result.final_epoch == 1
+
+    def test_first_curve_row_is_batch_losses_of_first_batch(self, vocab, records):
+        cfg = TrainConfig(epochs=1, batch_size=3, lr=1e-3, seed=4, given_location_fraction=0.5)
+        row = train(_tiny_model(vocab, seed=7), records, cfg).curve[0]
+        model = _tiny_model(vocab, seed=7)
+        examples = [_example(model, r) for r in records]
+        lengths = [len(ex.ids) for ex in examples]
+        first = _epoch_batches(lengths, cfg.batch_size, cfg.given_location_fraction, random.Random(cfg.seed))[0]
+        batch = _build_batch(model, [examples[i] for i, _ in first], [given for _, given in first])
+        _, *losses = batch_losses(model, batch, LossWeights())
+        assert [float(loss.data) for loss in losses] == [row.l_type, row.l_bug, row.l_decoder, row.l_all]
 
     def test_nan_raises_numeric_error(self, vocab, records):
         model = _tiny_model(vocab, seed=6)
