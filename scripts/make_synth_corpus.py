@@ -10,21 +10,14 @@ import sys
 from pathlib import Path
 
 from hlsdbg import __version__
-from hlsdbg.cli import _positive_int
+from hlsdbg.cli import _histogram, _number, _positive_int
 from hlsdbg.corpus import DatasetManifest, split, write_jsonl
 from hlsdbg.mutate import generate_corpus
 from hlsdbg.synth import make_corpus
 
 
-def _held_out_ratio(text: str) -> float:
-    """A ratio in [0, 1) that leaves `1 - ratio` strictly between 0 and 1, or 0 for no split."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = float("nan")
-    if not (value == 0.0 or 0.0 < 1.0 - value < 1.0):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a ratio in [0, 1)")
-    return value
+# a ratio in [0, 1) that leaves `1 - ratio` strictly between 0 and 1, or 0 for no split
+_held_out_ratio = _number(float, lambda v: v == 0.0 or 0.0 < 1.0 - v < 1.0, "a ratio in [0, 1)")
 
 
 def main() -> int:
@@ -60,7 +53,7 @@ def main() -> int:
         command="make_synth_corpus " + shlex.join(sys.argv[1:]),
         seed=args.seed,
         counts=counts,
-        histogram={t.name: c for t, c in sorted(report.histogram.items(), key=lambda kv: kv[0].name)},
+        histogram=_histogram(report.records),
         notes=notes,
     )
     (args.out_dir / "manifest.json").write_text(manifest.to_json())

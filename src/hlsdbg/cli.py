@@ -39,7 +39,7 @@ from .errors import DataError, NumericError
 from .llmgen import HttpCompletionClient, StubCompletionClient, generate_via_llm
 from .metrics import evaluate, rank_lines, write_metrics_csv
 from .model import BUG_TYPE_ORDER, DebuggerModel, ModelConfig, Vocab, dataclass_from_meta, line_scores
-from .mutate import generate_corpus
+from .mutate import GenerationReport, generate_corpus
 from .synth import make_corpus
 from .training import LossWeights, TrainConfig, parse_config_text, resume, train
 
@@ -56,38 +56,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _non_negative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
-    return value
+def _number(convert, ok, what: str):
+    """An argparse type: `convert(text)` when that succeeds and `ok` holds for it, else a usage error."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    value = _non_negative_int(text)
-    if value == 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
-    return value
-
-
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
-    return value
-
-
-def _non_negative_float(text: str) -> float:
-    value = _finite_float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is negative")
-    return value
+_non_negative_int = _number(int, lambda v: v >= 0, "a non-negative integer")
+_positive_int = _number(int, lambda v: v > 0, "a positive integer")
+_finite_float = _number(float, math.isfinite, "a finite number")
+_non_negative_float = _number(float, lambda v: math.isfinite(v) and v >= 0, "a finite non-negative number")
 
 
 def _manifest_path(out: str | Path) -> Path:
@@ -145,21 +130,28 @@ def _cmd_ingest(args, argv) -> int:
 def _cmd_inject(args, argv) -> int:
     pairs = _load_sample_pairs(args)
     report = generate_corpus(pairs, per_sample=args.per_sample, seed=args.seed)
+    return _write_corpus(args, argv, len(pairs), report)
+
+
+def _write_corpus(args, argv, n_samples: int, report: GenerationReport, **counts) -> int:
+    """`inject` and `gen-llm` output: the records, their manifest with `counts` added, one summary line."""
     write_jsonl(report.records, args.out)
     _write_manifest(
         args.out,
         argv,
         seed=args.seed,
-        counts={
-            "samples": len(pairs),
-            "records": len(report.records),
-            "skipped_samples": len(report.skipped),
-        },
-        histogram={t.name: c for t, c in sorted(report.histogram.items(), key=lambda kv: kv[0].name)},
-        notes=[f"no injectable site: {sid}" for sid in report.skipped],
+        counts={"samples": n_samples, "records": len(report.records), "skipped_samples": len(report.skipped),
+                **counts},
+        histogram=_histogram(report.records),
+        notes=[f"skipped {sid}: {reason}" for sid, reason in report.skipped],
     )
-    print(f"inject: {len(report.records)} records from {len(pairs)} samples -> {args.out}")
+    print(f"{args.command}: {len(report.records)} records from {n_samples} samples -> {args.out}")
     return 0
+
+
+def _histogram(records) -> dict[str, int]:
+    """Records per bug type name; the manifest's JSON orders the keys."""
+    return dict(Counter(r.bug_type.name for r in records))
 
 
 def _cmd_dedup(args, argv) -> int:
@@ -226,7 +218,6 @@ def _cmd_train(args, argv) -> int:
 
     model_path = out_dir / "model.bin"
     model.save(model_path)
-    histogram = Counter(r.bug_type.name for r in records)
     _write_manifest(
         out_dir / "model.bin",
         argv,
@@ -237,7 +228,7 @@ def _cmd_train(args, argv) -> int:
             "steps": result.curve[-1].step if result.curve else 0,
             "truncated_inputs": result.n_truncated,
         },
-        histogram=dict(sorted(histogram.items())),
+        histogram=_histogram(records),
         notes=notes,
     )
     final = result.curve[-1].l_all if result.curve else float("nan")
@@ -328,23 +319,7 @@ def _cmd_gen_llm(args, argv) -> int:
     else:
         client = StubCompletionClient(seed=args.seed)
     report = generate_via_llm(pairs, client, threads=args.threads)
-    write_jsonl(report.records, args.out)
-    histogram = Counter(r.bug_type.name for r in report.records)
-    _write_manifest(
-        args.out,
-        argv,
-        seed=args.seed,
-        counts={
-            "samples": len(pairs),
-            "records": len(report.records),
-            "skipped_samples": len(report.skipped),
-            "completion_calls": report.n_calls,
-        },
-        histogram=dict(sorted(histogram.items())),
-        notes=[f"skipped {sid}: {reason}" for sid, reason in report.skipped],
-    )
-    print(f"gen-llm: {len(report.records)} records from {len(pairs)} samples -> {args.out}")
-    return 0
+    return _write_corpus(args, argv, len(pairs), report, completion_calls=report.n_calls)
 
 
 # --- parser ---------------------------------------------------------------------------

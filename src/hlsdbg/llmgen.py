@@ -16,14 +16,13 @@ import random
 import re
 import time
 import zlib
-from dataclasses import dataclass
 from itertools import chain, islice, takewhile, zip_longest
 from typing import Protocol
 from urllib.parse import urlsplit
 
 from .errors import DataError, LexError
 from .lexer import TokenStream, lex, tokens_in_byte_range
-from .mutate import BugRecord, BugType, draw_rewrite, find_sites, span_bytes, splice_record
+from .mutate import BugRecord, BugType, GenerationReport, draw_rewrite, find_sites, span_bytes, splice_record
 
 _CODE_OPEN = "<<<CODE"
 _CODE_CLOSE = "CODE>>>"
@@ -207,13 +206,6 @@ def _function_name(code: str | None) -> str | None:
 # --- chained generation ----------------------------------------------------------
 
 
-@dataclass
-class GenLlmReport:
-    records: list[BugRecord]
-    skipped: list[tuple[str, str]]  # (sample_id, reason)
-    n_calls: int = 0
-
-
 _BLOCK_RE = re.compile(
     r"^TYPE:\s*(?P<type>\w+)\s*$\n^CORRECT:\s*(?P<correct>.*)$\n^BUGGY:\s*(?P<buggy>.*)$",
     re.MULTILINE,
@@ -292,9 +284,9 @@ def generate_via_llm(
     samples: list[tuple[str, str]],
     client: CompletionClient,
     threads: int = 1,
-) -> GenLlmReport:
+) -> GenerationReport:
     """One record per (id, code) sample through the three-step prompt chain."""
-    report = GenLlmReport(records=[], skipped=[])
+    report = GenerationReport(records=[], skipped=[])
 
     def run_one(job: tuple[str, str]) -> tuple[BugRecord | None, str | None, int]:
         sample_id, code = job
@@ -348,5 +340,5 @@ def generate_via_llm(
         if record is not None:
             report.records.append(record)
         else:
-            report.skipped.append((sample_id, reason or "unknown"))
+            report.skipped.append((sample_id, reason))
     return report

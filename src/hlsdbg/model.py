@@ -367,14 +367,12 @@ class DebuggerModel:
         return ids if span is None else bracket(ids, span, Vocab.BUG_OPEN, Vocab.BUG_CLOSE)
 
     def target_ids(self, record: BugRecord) -> list[int]:
-        """Decoder supervision: the correct snippet's token ids plus END."""
+        """Decoder supervision: the correct snippet's token ids plus END; END alone for a deletion."""
         try:
             texts = lex(record.snippet_correct).texts()
         except DataError:
             texts = record.snippet_correct.split()
-        if not texts:
-            texts = [record.snippet_correct.strip() or "<empty>"]
-        ids = self.vocab.encode(list(texts))
+        ids = self.vocab.encode(texts)
         return ids[: self.config.max_tgt_len - 1] + [Vocab.END]
 
     def predict_record(self, record: BugRecord, given_location: bool = False) -> RecordPrediction:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 import random
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, repeat
 from typing import Iterable, Sequence
@@ -597,8 +596,8 @@ def check_record(record: BugRecord, stream: TokenStream) -> None:
 @dataclass
 class GenerationReport:
     records: list[BugRecord]
-    histogram: Counter
-    skipped: list[str]  # sample ids with no applicable site
+    skipped: list[tuple[str, str]]  # (sample id, reason)
+    n_calls: int = 0  # completion calls made; none for rule-based injection
 
 
 def _derive_seed(seed: int, index: int) -> int:
@@ -648,13 +647,11 @@ def generate_corpus(
     """
     if per_sample < 1:
         raise ValueError("per_sample must be >= 1")
-    records: list[BugRecord] = []
-    skipped: list[str] = []
+    report = GenerationReport(records=[], skipped=[])
     for idx, (sid, code) in enumerate(samples):
         recs = generate_for_sample(sid, code, per_sample, _derive_seed(seed, idx))
         if recs is None:
-            skipped.append(sid)
+            report.skipped.append((sid, "no injectable site"))
         else:
-            records.extend(recs)
-    histogram = Counter(r.bug_type for r in records)
-    return GenerationReport(records=records, histogram=histogram, skipped=skipped)
+            report.records.extend(recs)
+    return report

@@ -40,7 +40,6 @@ class LossWeights:
     alpha_type: float = 0.2
     alpha_bug: float = 2.0
     alpha_decoder: float = 10.0
-    alpha_encoder: float = 1.0
     alpha_true: float = 0.05
     alpha_false: float = 1.0
 
@@ -139,18 +138,10 @@ def loss_decoder(logits: Tensor, targets: np.ndarray, keep: np.ndarray) -> Tenso
     return ad.neg(ad.mean(per_sample))
 
 
-def loss_all(
-    l_type: Tensor, l_bug: Tensor, l_decoder: Tensor, weights: LossWeights
-) -> tuple[Tensor, Tensor]:
-    """(combined, encoder-part) per the scaled three-term objective."""
-    l_encoder = ad.add(
-        ad.scale(l_type, weights.alpha_type), ad.scale(l_bug, weights.alpha_bug)
-    )
-    combined = ad.add(
-        ad.scale(l_encoder, weights.alpha_encoder),
-        ad.scale(l_decoder, weights.alpha_decoder),
-    )
-    return combined, l_encoder
+def loss_all(l_type: Tensor, l_bug: Tensor, l_decoder: Tensor, weights: LossWeights) -> Tensor:
+    """The scaled three-term objective `alpha_type L_type + alpha_bug L_bug + alpha_decoder L_decoder`."""
+    l_encoder = ad.add(ad.scale(l_type, weights.alpha_type), ad.scale(l_bug, weights.alpha_bug))
+    return ad.add(l_encoder, ad.scale(l_decoder, weights.alpha_decoder))
 
 
 # --- batching ------------------------------------------------------------------
@@ -255,8 +246,7 @@ def batch_losses(
     l_t = loss_type(model.type_logits(enc), batch.type_labels)
     l_b = loss_bug(model.bug_logits(enc), labels, mask, weights)
     l_d = loss_decoder(model.decoder_logits(enc, batch.tgt_in, batch.tgt_keep), batch.tgt_out, batch.tgt_keep)
-    combined, _ = loss_all(l_t, l_b, l_d, weights)
-    return enc.truncated, l_t, l_b, l_d, combined
+    return enc.truncated, l_t, l_b, l_d, loss_all(l_t, l_b, l_d, weights)
 
 
 # --- curve + checkpoints -----------------------------------------------------------
@@ -460,12 +450,13 @@ def parse_config_text(text: str) -> tuple[dict, dict, dict]:
     else must be a TrainConfig field. `#` starts a comment. Only a line feed
     ends a line, as in the lexer.
     """
-    train_fields = set(TrainConfig.__dataclass_fields__)
-    model_fields = set(ModelConfig.__dataclass_fields__) - {"vocab_size", "n_bug_types"}  # fixed by the data
-    loss_fields = set(LossWeights.__dataclass_fields__)
-    train_kw: dict = {}
-    model_kw: dict = {}
-    loss_kw: dict = {}
+    # prefix -> (the name errors give, its fields, its values), the empty prefix last; the data fixes
+    # vocab_size and n_bug_types
+    routes = {
+        "model.": ("model", set(ModelConfig.__dataclass_fields__) - {"vocab_size", "n_bug_types"}, {}),
+        "loss.": ("loss", set(LossWeights.__dataclass_fields__), {}),
+        "": ("train", set(TrainConfig.__dataclass_fields__), {}),
+    }
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -473,21 +464,13 @@ def parse_config_text(text: str) -> tuple[dict, dict, dict]:
         if "=" not in line:
             raise DataError(f"config line {lineno}: expected `key = value`")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key.startswith("model."):
-            name = key[len("model."):]
-            if name not in model_fields:
-                raise DataError(f"config line {lineno}: unknown model field {name!r}")
-            model_kw[name] = _coerce(value)
-        elif key.startswith("loss."):
-            name = key[len("loss."):]
-            if name not in loss_fields:
-                raise DataError(f"config line {lineno}: unknown loss field {name!r}")
-            loss_kw[name] = _coerce(value)
-        else:
-            if key not in train_fields:
-                raise DataError(f"config line {lineno}: unknown train field {key!r}")
-            train_kw[key] = _coerce(value)
-    return train_kw, model_kw, loss_kw
+        prefix = next(p for p in routes if key.startswith(p))
+        what, fields, kw = routes[prefix]
+        name = key[len(prefix):]
+        if name not in fields:
+            raise DataError(f"config line {lineno}: unknown {what} field {name!r}")
+        kw[name] = _coerce(value)
+    return routes[""][2], routes["model."][2], routes["loss."][2]
 
 
 def _coerce(value: str):

@@ -149,6 +149,16 @@ class TestInject:
         assert "timestamp" not in manifest
         assert sum(manifest["histogram"].values()) == 6
 
+    def test_skipped_sample_is_noted(self, tmp_path):
+        samples, out = tmp_path / "samples.jsonl", tmp_path / "r.jsonl"
+        codes = {"kernel": make_corpus(1, seed=0)[0][1], "empty": "int main() { return 0; }\n"}
+        samples.write_text("".join(json.dumps({"id": i, "code": c, "origin": "crawled"}) + "\n"
+                                   for i, c in codes.items()))
+        assert _run(["inject", "--samples", str(samples), "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "r.jsonl.manifest.json").read_text())
+        assert manifest["notes"] == ["skipped empty: no injectable site"]
+        assert manifest["counts"] == {"samples": 2, "records": 1, "skipped_samples": 1}
+
     def test_rerun_is_byte_identical(self, tmp_path):
         out = tmp_path / "r.jsonl"
         argv = ["inject", "--synth", "2", "--per-sample", "3", "--seed", "9", "--out", str(out)]
@@ -507,6 +517,7 @@ class TestTrainSettings:
         "model.d_ff = 2.0", "model.vocab_size = 9", "model.n_bug_types = 3", "loss.alpha_true = x",
         "epochs = 3\x1cseed = 4",  # one line, so `epochs` is not an int
         "model.dropout = 0", "lr = inf", "given_location_fraction = 2", "checkpoint_every = -1", "clip_norm = -3",
+        "loss.alpha_encoder = 1",
     ])
     def test_config_line(self, tmp_path, records_path, line, capsys):
         cfg = tmp_path / "tiny.cfg"
@@ -566,6 +577,12 @@ class TestResumeChecks:
                 "--resume", checkpoint_path, "--epochs", "3"]
         _assert_data_exit(argv, capsys)
 
+    def test_loss_weights_with_alpha_encoder(self, tmp_path, records_path, checkpoint_path, capsys):
+        # checkpoints written while `LossWeights` had an `alpha_encoder` field carry it
+        _rewrite_header(checkpoint_path, lambda header: header["meta"]["loss_weights"].update(alpha_encoder=1.0))
+        argv = ["train", "--records", records_path, "--out-dir", tmp_path / "run",
+                "--resume", checkpoint_path, "--epochs", "3"]
+        _assert_data_exit(argv, capsys)
 
     @pytest.mark.parametrize("which, value", [
         ("v", -1.0), ("v", float("nan")), ("v", float("inf")), ("m", float("nan")),

@@ -18,7 +18,7 @@ from hlsdbg.model import (
     label_span,
     line_scores,
 )
-from hlsdbg.mutate import generate_corpus
+from hlsdbg.mutate import BugType, generate_corpus, splice_record
 from hlsdbg.synth import make_corpus
 
 
@@ -469,6 +469,14 @@ class TestRecordApi:
         tgt = model.target_ids(records[0])
         assert tgt[-1] == Vocab.END
         assert len(tgt) <= model.config.max_tgt_len
+
+    def test_target_of_an_inserted_bug_is_end_alone(self, model):
+        # the fix of a bug inserted into the correct code deletes the insertion
+        code = "int f(int a) { return a; }\n"
+        at = code.index("a;")
+        record = splice_record("insert", lex(code), at, at, "- ", BugType.ZERO)
+        assert record.snippet_correct == ""
+        assert model.target_ids(record) == [Vocab.END]
 
 
 # --- persistence -------------------------------------------------------------------

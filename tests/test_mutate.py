@@ -320,7 +320,6 @@ class TestGenerateCorpus:
         a = generate_corpus(samples, per_sample=4, seed=99)
         b = generate_corpus(samples, per_sample=4, seed=99)
         assert a.records == b.records
-        assert a.histogram == b.histogram
         assert a.skipped == b.skipped
 
     def test_seed_changes_output(self):
@@ -345,16 +344,11 @@ class TestGenerateCorpus:
         assert len(report.records) == 8
         assert {r.bug_type for r in report.records} == set(BugType)
 
-    def test_histogram_matches_records(self):
-        samples = make_corpus(4, seed=7)
-        report = generate_corpus(samples, per_sample=6, seed=13)
-        assert report.histogram == Counter(r.bug_type for r in report.records)
-
     def test_sample_without_sites_is_skipped(self):
         samples = [("empty", "int main() { return 0; }\n")]
         report = generate_corpus(samples, per_sample=2, seed=0)
         assert report.records == []
-        assert report.skipped == ["empty"]
+        assert report.skipped == [("empty", "no injectable site")]
 
     def test_rejects_nonpositive_per_sample(self):
         with pytest.raises(ValueError):

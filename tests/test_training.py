@@ -176,25 +176,18 @@ class TestLossDecoder:
 
 class TestLossAll:
     def test_default_composition_of_unit_parts(self):
-        combined, encoder = loss_all(_t(1.0), _t(1.0), _t(1.0), LossWeights())
-        assert abs(float(encoder.data) - 2.2) < 1e-12
+        combined = loss_all(_t(1.0), _t(1.0), _t(1.0), LossWeights())
         assert abs(float(combined.data) - 12.2) < 1e-12
 
     def test_custom_composition(self):
         w = LossWeights(alpha_type=1.0, alpha_bug=2.0, alpha_decoder=3.0)
-        combined, encoder = loss_all(_t(1.0), _t(1.0), _t(1.0), w)
-        assert abs(float(encoder.data) - 3.0) < 1e-12
+        combined = loss_all(_t(1.0), _t(1.0), _t(1.0), w)
         assert abs(float(combined.data) - 6.0) < 1e-12
 
     def test_zero_decoder_weight_drops_decoder_term(self):
         w = LossWeights(alpha_decoder=0.0)
-        combined, _ = loss_all(_t(1.0), _t(1.0), _t(5.0), w)
+        combined = loss_all(_t(1.0), _t(1.0), _t(5.0), w)
         assert abs(float(combined.data) - 2.2) < 1e-12
-
-    def test_encoder_scale(self):
-        w = LossWeights(alpha_encoder=2.0, alpha_decoder=0.0)
-        combined, _ = loss_all(_t(1.0), _t(1.0), _t(0.0), w)
-        assert abs(float(combined.data) - 4.4) < 1e-12
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
