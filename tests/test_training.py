@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import hashlib
 import math
 import random
 
@@ -33,6 +34,9 @@ from hlsdbg.training import (
     write_curve_csv,
 )
 from test_acceptance import OVERFIT_SEEDS, TOY_CORPUS
+
+# platform-specific, like the model's TOY_PREDICTIONS_SHA256
+TRAINING_RUN_SHA256 = "723330f920d35f9f6654a2d76d0e6a4ec2cb99b342da8d60d1e16d448d27e880"
 
 
 def _t(data):
@@ -280,6 +284,21 @@ class TestTrain:
         batch = _build_batch(model, [examples[i] for i, _ in first], [given for _, given in first])
         _, *losses = batch_losses(model, batch, LossWeights())
         assert [float(loss.data) for loss in losses] == [row.l_type, row.l_bug, row.l_decoder, row.l_all]
+
+    def test_training_run_is_pinned(self, vocab, records):
+        # every curve row and every final parameter of a seeded f64 run, so a
+        # reorganised loss, backward or optimizer must not move a bit
+        model = _tiny_model(vocab, seed=12)
+        cfg = TrainConfig(epochs=3, batch_size=3, lr=1e-3, seed=14, clip_norm=1.0, given_location_fraction=0.5)
+        result = train(model, records[:6], cfg)
+        h = hashlib.sha256()
+        for row in result.curve:
+            h.update(np.array(dataclasses.astuple(row), dtype=np.float64).tobytes())
+        for name in sorted(model.params):
+            h.update(name.encode())
+            h.update(model.params[name].data.tobytes())
+        assert len(result.curve) == 6
+        assert h.hexdigest() == TRAINING_RUN_SHA256
 
     def test_nan_raises_numeric_error(self, vocab, records):
         model = _tiny_model(vocab, seed=6)
