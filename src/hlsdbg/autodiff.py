@@ -124,26 +124,6 @@ def add(a: Tensor, b) -> Tensor:
     return _record(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
-def sub(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b, a)
-    out = Tensor(a.data - b.data)
-    return _record(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
-
-
-def mul(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b, a)
-    out = Tensor(a.data * b.data)
-    return _record(
-        out,
-        (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
-    )
-
-
-def neg(a: Tensor) -> Tensor:
-    return _record(Tensor(-a.data), (a,), lambda g: (-g,))
-
-
 def scale(a: Tensor, s: float) -> Tensor:
     s = a.dtype.type(s)
     return _record(Tensor(a.data * s), (a,), lambda g: (g * s,))
@@ -230,39 +210,6 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     return _record(out, (table,), bwd)
 
 
-def gather(a: Tensor, indices: np.ndarray, axis: int) -> Tensor:
-    indices = np.asarray(indices)
-    out = Tensor(np.take_along_axis(a.data, indices, axis=axis))
-
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        grids = list(np.meshgrid(*[np.arange(s) for s in indices.shape], indexing="ij"))
-        grids[axis] = indices
-        np.add.at(full, tuple(grids), g)
-        return (full,)
-
-    return _record(out, (a,), bwd)
-
-
-# --- reductions ---------------------------------------------------------------
-
-
-def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
-
-    def bwd(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).astype(a.dtype, copy=False),)
-
-    return _record(out, (a,), bwd)
-
-
-def mean(a: Tensor) -> Tensor:
-    """Mean over all elements."""
-    return scale(sum_(a), 1.0 / a.data.size)
-
-
 # --- nonlinearities -------------------------------------------------------------
 
 
@@ -274,18 +221,6 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
     def bwd(g):
         return (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
-
-    return _record(out, (a,), bwd)
-
-
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    y = shifted - lse
-    out = Tensor(y)
-
-    def bwd(g):
-        return (g - np.exp(y) * g.sum(axis=axis, keepdims=True),)
 
     return _record(out, (a,), bwd)
 
@@ -320,17 +255,6 @@ def gelu(a: Tensor) -> Tensor:
     def bwd(g):
         dt = (1.0 - t**2) * _GELU_C * (1.0 + 3.0 * _GELU_A * x**2)
         return (g * (0.5 * (1.0 + t) + 0.5 * x * dt),)
-
-    return _record(out, (a,), bwd)
-
-
-def softplus(a: Tensor) -> Tensor:
-    out = Tensor(np.logaddexp(a.dtype.type(0), a.data))
-
-    def bwd(g):
-        s = 1.0 / (1.0 + np.exp(-np.abs(a.data)))
-        s = np.where(a.data >= 0, s, 1.0 - s)
-        return (g * s,)
 
     return _record(out, (a,), bwd)
 
@@ -371,6 +295,59 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, keep: np.ndarray | 
         return merge(ds @ kh), merge(ds.transpose(0, 1, 3, 2) @ qh), merge(p.transpose(0, 1, 3, 2) @ gh)
 
     return _record(out, (q, k, v), bwd)
+
+
+# --- losses -------------------------------------------------------------------
+
+
+def cross_entropy(logits: Tensor, targets: np.ndarray, keep: np.ndarray) -> Tensor:
+    """Softmax cross entropy of (B, T, K) logits at (B, T) class `targets`, as one node.
+
+    The mean over rows of each row's mean -log softmax at the target, over
+    the positions `keep` marks with 1; every row must keep one.
+    """
+    targets = np.asarray(targets)
+    k = np.asarray(keep, dtype=logits.dtype)
+    counts = k.sum(axis=1)
+    if np.any(counts == 0):
+        raise ValueError("cross entropy needs a kept position in every row")
+    inv = (1.0 / counts).astype(logits.dtype)
+    s = logits.dtype.type(1.0 / targets.shape[0])
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    y = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))  # log softmax
+    at = (*np.indices(targets.shape, sparse=True), targets)
+    out = Tensor(-(((y[at] * k).sum(axis=1) * inv).sum() * s))
+
+    def bwd(g):
+        full = np.zeros_like(y)
+        full[at] += ((-g * s) * inv)[:, None] * k  # adds, so a masked -0.0 lands as +0.0
+        return (full - np.exp(y) * full.sum(axis=-1, keepdims=True),)
+
+    return _record(out, (logits,), bwd)
+
+
+def binary_cross_entropy(logits: Tensor, labels: np.ndarray, weights: np.ndarray) -> Tensor:
+    """`sum(w * (softplus(z) - z * y)) / sum(w)` over logits z, labels y and weights w, as one node.
+
+    Weights are non-negative. When they sum to zero the loss is +0.0 and
+    its gradient zero.
+    """
+    z = logits.data
+    y = np.asarray(labels, dtype=logits.dtype)
+    w = np.asarray(weights, dtype=logits.dtype)
+    wsum = float(w.sum())
+    if wsum == 0:
+        return _record(Tensor(np.zeros((), logits.dtype)), (logits,), lambda g: (np.zeros_like(z),))
+    s = logits.dtype.type(1.0 / wsum)
+    out = Tensor(((np.logaddexp(logits.dtype.type(0), z) - z * y) * w).sum() * s)
+
+    def bwd(g):
+        ge = (g * s) * w
+        sig = 1.0 / (1.0 + np.exp(-np.abs(z)))  # the sigmoid, without overflow
+        sig = np.where(z >= 0, sig, 1.0 - sig)
+        return ((-ge) * y + ge * sig,)
+
+    return _record(out, (logits,), bwd)
 
 
 def check_finite(t: Tensor, what: str) -> Tensor:

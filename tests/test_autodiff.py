@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from gradcheck import check_gradients
+from gradcheck import check_gradients, weighted_sum
 from hlsdbg import autodiff as ad
 from hlsdbg.autodiff import Tape, Tensor, backward
 from hlsdbg.errors import NumericError
@@ -46,13 +46,23 @@ class TestForward:
         assert np.allclose(y.data, (np.array([1.0, 2.0, 3.0]) - mu) / sd)
 
     def test_log_softmax_matches_log_of_softmax(self):
-        x = _rand((2, 7), 2)
-        assert np.allclose(ad.log_softmax(x).data, np.log(ad.softmax(x).data))
+        # cross entropy is the row mean, over kept positions, of -log softmax at the target
+        x = _rand((2, 3, 7), 2)
+        targets = np.array([[1, 6, 0], [3, 3, 5]])
+        keep = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+        logp = np.log(ad.softmax(x).data)
+        want = -((logp[0, 0, 1] + logp[0, 1, 6]) / 2 + (logp[1, 0, 3] + logp[1, 1, 3] + logp[1, 2, 5]) / 3) / 2
+        assert np.isclose(float(ad.cross_entropy(x, targets, keep).data), want, rtol=1e-14, atol=0.0)
 
     def test_softplus_is_stable_at_extremes(self):
-        with np.errstate(over="raise"):
-            y = ad.softplus(_t([800.0, -800.0]))
-        assert np.allclose(y.data, [800.0, 0.0])
+        z, y, w = _t([[800.0, -800.0]]), np.array([[0.0, 1.0]]), np.ones((1, 2))
+        with np.errstate(over="raise"), Tape() as tape:
+            bce = ad.binary_cross_entropy(z, y, w)
+            ce = ad.cross_entropy(ad.reshape(z, (1, 1, 2)), np.array([[1]]), np.ones((1, 1)))
+            loss = ad.add(bce, ce)
+        assert float(bce.data) == 800.0 and float(ce.data) == 1600.0
+        backward(tape, loss)
+        assert np.all(np.isfinite(z.grad))
 
     def test_linear_matches_matmul_plus_bias(self):
         x, w, b = _rand((2, 3, 4), 40), _rand((4, 5), 41), _rand((5,), 42)
@@ -92,21 +102,21 @@ class TestBackward:
     def test_sum_gradient_is_ones(self):
         x = _rand((3, 4), 3)
         with Tape() as tape:
-            loss = ad.sum_(x)
+            loss = weighted_sum(x, 1.0)
         backward(tape, loss)
         assert np.array_equal(x.grad, np.ones((3, 4)))
 
     def test_elementwise_square(self):
         x = _t([1.0, 2.0])
         with Tape() as tape:
-            loss = ad.sum_(ad.mul(x, x))
+            loss = ad.matmul(ad.reshape(x, (1, 2)), ad.reshape(x, (2, 1)))  # x . x
         backward(tape, loss)
         assert np.allclose(x.grad, [2.0, 4.0])
 
     def test_reused_tensor_accumulates(self):
         x = _t([1.0, 1.0])
         with Tape() as tape:
-            loss = ad.add(ad.sum_(x), ad.sum_(x))
+            loss = ad.add(weighted_sum(x, 1.0), weighted_sum(x, 1.0))
         backward(tape, loss)
         assert np.allclose(x.grad, [2.0, 2.0])
 
@@ -114,8 +124,8 @@ class TestBackward:
         x = _t([1.0])
         y = _t([1.0])
         with Tape() as tape:
-            dead = ad.mul(y, y)  # noqa: F841 - recorded but not part of the loss
-            loss = ad.sum_(x)
+            dead = ad.scale(y, 2.0)  # noqa: F841 - recorded but not part of the loss
+            loss = weighted_sum(x, 1.0)
         backward(tape, loss)
         assert y.grad is None
 
@@ -123,20 +133,22 @@ class TestBackward:
         x, w, b = _rand((2, 3, 4), 46), _rand((4, 4), 47), _rand((4,), 48)
         with Tape() as tape:
             y = ad.linear(x, w, b)
-            ad.attention(y, y, y, 2, None)
-        assert len(tape.nodes) == 2
+            y = ad.attention(y, y, y, 2, None)
+            ad.cross_entropy(y, np.zeros((2, 3), dtype=np.int64), np.ones((2, 3)))
+            ad.binary_cross_entropy(y, np.zeros((2, 3, 4)), np.ones((2, 3, 4)))
+        assert len(tape.nodes) == 4
 
     def test_non_scalar_loss_rejected(self):
         x = _t([1.0, 2.0])
         with Tape() as tape:
-            y = ad.mul(x, x)
+            y = ad.scale(x, 2.0)
         with pytest.raises(ValueError):
             backward(tape, y)
 
     def test_no_tape_records_nothing(self):
         x = _t([1.0])
         tape = Tape()
-        y = ad.mul(x, x)  # outside any active tape
+        y = ad.scale(x, 2.0)  # outside any active tape
         assert tape.nodes == [] and y.requires_grad is False
 
     def test_dtype_mixing_rejected(self):
@@ -168,93 +180,63 @@ class TestGradChecks:
 
     def test_add_broadcast(self):
         a, b = _rand((3, 4), 10), _rand((4,), 11)
-        self.check(lambda: ad.sum_(ad.mul(ad.add(a, b), ad.add(a, b))), [a, b])
-
-    def test_sub_and_neg(self):
-        a, b = _rand((3, 4), 12), _rand((3, 1), 13)
-        self.check(lambda: ad.sum_(ad.mul(ad.sub(a, b), ad.neg(a))), [a, b])
-
-    def test_mul_broadcast(self):
-        a, b = _rand((2, 3, 4), 14), _rand((3, 4), 15)
-        self.check(lambda: ad.sum_(ad.mul(a, b)), [a, b])
+        self.check(lambda: weighted_sum(ad.add(a, b), np.linspace(-1.0, 1.0, 12).reshape(3, 4)), [a, b])
 
     def test_scale(self):
         a = _rand((5,), 16)
-        self.check(lambda: ad.sum_(ad.scale(ad.mul(a, a), -2.5)), [a])
+        self.check(lambda: weighted_sum(ad.scale(a, -2.5), np.linspace(0.5, 1.5, 5)), [a])
 
     def test_matmul_2d(self):
         a, b = _rand((3, 4), 17), _rand((4, 2), 18)
-        self.check(lambda: ad.sum_(ad.mul(ad.matmul(a, b), ad.matmul(a, b))), [a, b])
+        self.check(lambda: weighted_sum(ad.matmul(a, b), np.linspace(-1.0, 1.0, 6).reshape(3, 2)), [a, b])
 
     def test_matmul_batched_broadcast(self):
         a, b = _rand((2, 3, 4), 19), _rand((4, 5), 20)
-        self.check(lambda: ad.sum_(ad.matmul(a, b)), [a, b])
+        self.check(lambda: weighted_sum(ad.matmul(a, b), 1.0), [a, b])
 
     def test_reshape(self):
         a = _rand((2, 6), 21)
-        self.check(lambda: ad.sum_(ad.mul(ad.reshape(a, (3, 4)), ad.reshape(a, (3, 4)))), [a])
+        self.check(lambda: weighted_sum(ad.reshape(a, (3, 4)), np.linspace(-2.0, 2.0, 12).reshape(3, 4)), [a])
 
     def test_concat(self):
         a, b = _rand((2, 3), 22), _rand((2, 2), 23)
-        self.check(lambda: ad.sum_(ad.mul(ad.concat([a, b], axis=1), ad.concat([a, b], axis=1))), [a, b])
+        self.check(lambda: weighted_sum(ad.concat([a, b], axis=1), np.linspace(-1.0, 1.0, 10).reshape(2, 5)), [a, b])
 
     def test_slice(self):
         a = _rand((4, 5), 24)
-        self.check(lambda: ad.sum_(ad.mul(ad.slice_(a, (slice(1, 3), slice(0, 4))),
-                                          ad.slice_(a, (slice(1, 3), slice(0, 4))))), [a])
+        self.check(lambda: weighted_sum(ad.slice_(a, (slice(1, 3), slice(0, 4))),
+                                        np.linspace(0.5, 2.0, 8).reshape(2, 4)), [a])
 
     def test_embedding_lookup(self):
         table = _rand((6, 3), 25)
         ids = np.array([0, 2, 2, 5])
-        self.check(lambda: ad.sum_(ad.mul(ad.embedding_lookup(table, ids),
-                                          ad.embedding_lookup(table, ids))), [table])
-
-    def test_gather(self):
-        a = _rand((3, 7), 26)
-        idx = np.array([[1], [0], [6]])
-        self.check(lambda: ad.sum_(ad.mul(ad.gather(a, idx, axis=1), ad.gather(a, idx, axis=1))), [a])
-
-    def test_sum_axis_keepdims(self):
-        a = _rand((3, 4), 27)
-        self.check(lambda: ad.sum_(ad.mul(ad.sum_(a, axis=1, keepdims=True), ad.sum_(a, axis=1, keepdims=True))), [a])
-
-    def test_mean(self):
-        a = _rand((3, 4), 28)
-        self.check(lambda: ad.mul(ad.mean(ad.mul(a, a)), ad.mean(ad.mul(a, a))), [a])
+        self.check(lambda: weighted_sum(ad.embedding_lookup(table, ids),
+                                        np.linspace(-1.0, 1.0, 12).reshape(4, 3)), [table])
 
     def test_softmax(self):
         a = _rand((2, 5), 29)
-        w = Tensor(np.linspace(0.5, 1.5, 10).reshape(2, 5))
-        self.check(lambda: ad.sum_(ad.mul(ad.softmax(a, axis=-1), w)), [a])
-
-    def test_log_softmax(self):
-        a = _rand((2, 5), 30)
-        w = Tensor(np.linspace(-1.0, 1.0, 10).reshape(2, 5))
-        self.check(lambda: ad.sum_(ad.mul(ad.log_softmax(a, axis=-1), w)), [a])
+        w = np.linspace(0.5, 1.5, 10).reshape(2, 5)
+        self.check(lambda: weighted_sum(ad.softmax(a, axis=-1), w), [a])
 
     def test_layer_norm(self):
         a = _rand((2, 6), 31)
-        w = Tensor(np.linspace(0.1, 1.2, 12).reshape(2, 6))
-        self.check(lambda: ad.sum_(ad.mul(ad.layer_norm(a), w)), [a])
+        w = np.linspace(0.1, 1.2, 12).reshape(2, 6)
+        self.check(lambda: weighted_sum(ad.layer_norm(a), w), [a])
 
     def test_gelu(self):
         a = _rand((4, 3), 32)
-        self.check(lambda: ad.sum_(ad.gelu(a)), [a])
-
-    def test_softplus(self):
-        a = _rand((5,), 34)
-        self.check(lambda: ad.sum_(ad.softplus(a)), [a])
+        self.check(lambda: weighted_sum(ad.gelu(a), 1.0), [a])
 
     def test_linear_3d_with_bias(self):
         x, w, b = _rand((2, 3, 4), 50), _rand((4, 5), 51), _rand((5,), 52)
-        out_w = Tensor(np.linspace(-1.0, 1.0, 30).reshape(2, 3, 5))
-        self.check(lambda: ad.sum_(ad.mul(ad.linear(x, w, b), out_w)), [x, w, b])
+        out_w = np.linspace(-1.0, 1.0, 30).reshape(2, 3, 5)
+        self.check(lambda: weighted_sum(ad.linear(x, w, b), out_w), [x, w, b])
 
     def test_linear_on_sliced_input_without_bias(self):
         big, w = _rand((2, 4, 3), 53), _rand((3, 2), 54)
-        out_w = Tensor(np.linspace(0.5, 2.0, 12).reshape(2, 3, 2))
+        out_w = np.linspace(0.5, 2.0, 12).reshape(2, 3, 2)
         # a slice past the first row of each batch is not contiguous
-        self.check(lambda: ad.sum_(ad.mul(ad.linear(ad.slice_(big, (slice(None), slice(1, None))), w), out_w)),
+        self.check(lambda: weighted_sum(ad.linear(ad.slice_(big, (slice(None), slice(1, None))), w), out_w),
                    [big, w])
 
     @pytest.mark.parametrize("masked", [False, True])
@@ -264,8 +246,23 @@ class TestGradChecks:
         if masked:
             keep = np.ones((2, 1, 1, 5))
             keep[0, 0, 0, 4] = keep[1, 0, 0, 2:] = 0.0
-        out_w = Tensor(np.linspace(-1.5, 1.5, 24).reshape(2, 3, 4))
-        self.check(lambda: ad.sum_(ad.mul(ad.attention(q, k, v, 2, keep), out_w)), [q, k, v])
+        out_w = np.linspace(-1.5, 1.5, 24).reshape(2, 3, 4)
+        self.check(lambda: weighted_sum(ad.attention(q, k, v, 2, keep), out_w), [q, k, v])
+
+    def test_cross_entropy(self):
+        a = _rand((2, 3, 5), 30)
+        targets = np.array([[4, 0, 2], [1, 1, 3]])
+        keep = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])  # the masked position gets no gradient
+        self.check(lambda: ad.cross_entropy(a, targets, keep), [a])
+
+    @pytest.mark.parametrize("zero_weights", [False, True], ids=["weighted", "zero_weights"])
+    def test_binary_cross_entropy(self, zero_weights):
+        z = _rand((2, 5), 34, scale=3.0)
+        y = np.array([[1.0, 0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0, 0.0]])
+        w = np.zeros((2, 5)) if zero_weights else np.linspace(0.0, 1.0, 10).reshape(2, 5)
+        self.check(lambda: ad.binary_cross_entropy(z, y, w), [z])
+        if zero_weights:
+            assert np.array_equal(z.grad, np.zeros((2, 5)))
 
     def test_small_transformer_block_composite(self):
         x = _rand((2, 4), 36, scale=0.5)
@@ -274,15 +271,14 @@ class TestGradChecks:
 
         def f():
             h = ad.gelu(ad.matmul(ad.layer_norm(x), w1))
-            out = ad.matmul(h, w2)
-            return ad.sum_(ad.mul(out, out))
+            return weighted_sum(ad.matmul(h, w2), np.linspace(-1.0, 1.0, 8).reshape(2, 4))
 
         self.check(f, [x, w1, w2])
 
     def test_float32_rejected(self):
         a = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
         with pytest.raises(ValueError):
-            check_gradients(lambda: ad.sum_(a), [a])
+            check_gradients(lambda: weighted_sum(a, 1.0), [a])
 
 
 # --- optimizer -------------------------------------------------------------------

@@ -433,6 +433,14 @@ def _assert_data_exit(argv, capsys):
     assert err.startswith("hlsdbg: data error:") and err.count("\n") == 1, err
 
 
+def _assert_usage_exit(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _run([str(a) for a in argv])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"hlsdbg {argv[0]}: error: argument ") and err.count("\n") == 1, err
+
+
 def _rewrite_first(path, edit):
     lines = path.read_text().splitlines()
     lines[0] = json.dumps(edit(json.loads(lines[0])))
@@ -509,7 +517,7 @@ class TestMalformedSamples:
 
 
 class TestTrainSettings:
-    """A setting no config type accepts is a data error, from a config file or a flag."""
+    """A setting no config type accepts is a data error in a config file and a usage error as a flag."""
 
     @pytest.mark.parametrize("line", [
         "lr = -1", "batch_size = 0", "epochs = 1.5", "seed = abc", "clip_norm = x", "lr = nan",
@@ -534,7 +542,7 @@ class TestTrainSettings:
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text(TINY_CONFIG)
         argv = ["train", "--records", records_path, "--out-dir", tmp_path / "run", "--config", cfg, *flag]
-        _assert_data_exit(argv, capsys)
+        _assert_usage_exit(argv, capsys)
 
     def test_config_not_utf8(self, tmp_path, records_path, capsys):
         cfg = tmp_path / "tiny.cfg"
@@ -560,7 +568,10 @@ class TestResumeChecks:
     @pytest.mark.parametrize("epochs", [None, "1", "0", "-3"])
     def test_epochs_must_exceed_checkpoint(self, tmp_path, records_path, checkpoint_path, epochs, capsys):
         argv = ["train", "--records", records_path, "--out-dir", tmp_path / "run", "--resume", checkpoint_path]
-        _assert_data_exit(argv + (["--epochs", epochs] if epochs else []), capsys)
+        if epochs in ("0", "-3"):  # no positive count: refused where the flag is parsed
+            _assert_usage_exit(argv + ["--epochs", epochs], capsys)
+        else:
+            _assert_data_exit(argv + (["--epochs", epochs] if epochs else []), capsys)
 
     @pytest.mark.parametrize("key, value", [
         ("rng_state", 5), ("rng_state", [3, [1, 2], None]), ("rng_state", "abc"),

@@ -10,6 +10,7 @@ from hlsdbg.errors import DataError
 from hlsdbg.lexer import lex
 from hlsdbg.model import (
     BUG_TYPE_ORDER,
+    FLAG_THRESHOLD,
     DebuggerModel,
     EncoderOutput,
     ModelConfig,
@@ -17,6 +18,7 @@ from hlsdbg.model import (
     bracket,
     label_span,
     line_scores,
+    suspect_span,
 )
 from hlsdbg.mutate import BugType, generate_corpus, splice_record
 from hlsdbg.synth import make_corpus
@@ -558,3 +560,24 @@ class TestLineScores:
         stream = lex("int a = 1;\nint b = 2;\n")
         scores = line_scores(np.array([0.3, 0.7]), stream)
         assert scores == {1: 0.7}
+
+
+class TestSuspectSpan:
+    def test_flagged_run_around_the_top_token(self):
+        assert suspect_span(np.array([0.2, 0.5, 0.7, 0.49, 0.5])) == (1, 3)
+
+    def test_top_token_alone_when_nothing_is_flagged(self):
+        assert suspect_span(np.array([0.1, 0.3, 0.2])) == (1, 2)
+
+    def test_token_at_threshold_counts_in_budget_and_span(self, vocab, monkeypatch):
+        m = DebuggerModel(_tiny_config(vocab, max_tgt_len=64), vocab, seed=3)
+        last = m.config.head_mlp_layers - 1
+        m.params[f"head_bug.w{last}"].data[:] = 0.0  # every token scores sigmoid(0) = 0.5 exactly
+        budgets = []
+        monkeypatch.setattr(m, "generate", lambda enc, max_len=None: budgets.append(max_len) or [])
+        code = "x = y + 1;"
+        pred = m.predict_source(code)
+        n = lex(code).n_tokens
+        assert n == 6 and np.all(pred.token_probs == FLAG_THRESHOLD)
+        assert budgets == [3 * n + 2]
+        assert suspect_span(pred.token_probs) == (0, n)
