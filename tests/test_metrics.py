@@ -1,3 +1,5 @@
+import hashlib
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,8 +19,12 @@ from hlsdbg.metrics import (
     strict_substring_match,
     write_metrics_csv,
 )
+from hlsdbg.model import DebuggerModel, ModelConfig, Vocab
 from hlsdbg.mutate import generate_corpus
 from hlsdbg.synth import make_corpus
+
+TOY_CORPUS = Path(__file__).resolve().parents[1] / "data" / "toy_corpus"
+EVAL_OUTPUT_SHA256 = "3a1daa0ee07b0d1d0b2fc03df637f78afa4e89a0e1a5db1d19dd41a08c68abee"
 
 
 def _pairwise_auc(scores, labels):
@@ -263,3 +269,31 @@ class TestEvaluate:
         assert rows[2].startswith("overall,line,")
         n_types = len(report.token_by_type)
         assert len(rows) == 1 + 2 + 2 * n_types
+
+
+def test_eval_output_is_pinned(tmp_path):
+    # text_summary and metrics CSV bytes of a seeded f64 model on toy and
+    # synthetic records that fit its input, plain and given-location, at
+    # two thresholds, must not move when the scoring is reorganised
+    toy = [(p.stem, p.read_text()) for p in sorted(TOY_CORPUS.glob("*.c"))]
+    records = (
+        generate_corpus(toy, per_sample=3, seed=5).records
+        + generate_corpus(make_corpus(6, seed=13), per_sample=3, seed=17).records
+    )
+    vocab = Vocab.for_records(records)
+    config = ModelConfig(
+        vocab_size=len(vocab), n_layers_enc=1, n_layers_dec=1, d_model=32, n_heads=2,
+        d_ff=64, max_src_len=512, max_tgt_len=16, dtype="f64",
+    )
+    model = DebuggerModel(config, vocab, seed=11)
+    h = hashlib.sha256()
+    for given_location in (False, True):
+        for threshold in (0.5, 0.9):
+            report = evaluate(model, records, given_location=given_location, threshold=threshold)
+            assert report.truncated_samples == 0
+            path = tmp_path / "metrics.csv"
+            write_metrics_csv(path, report)
+            h.update(report.text_summary().encode())
+            h.update(path.read_bytes())
+    assert len(records) == 51
+    assert h.hexdigest() == EVAL_OUTPUT_SHA256
