@@ -71,7 +71,7 @@ def _number(convert, ok, what: str):
 
 _non_negative_int = _number(int, lambda v: v >= 0, "a non-negative integer")
 _positive_int = _number(int, lambda v: v > 0, "a positive integer")
-_finite_float = _number(float, math.isfinite, "a finite number")
+_probability = _number(float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
 _non_negative_float = _number(float, lambda v: math.isfinite(v) and v >= 0, "a finite non-negative number")
 
 
@@ -336,7 +336,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("dedup", help="drop samples overlapping a benchmark")
     p.add_argument("--samples", required=True)
     p.add_argument("--benchmark", required=True, help="samples jsonl to compare against")
-    p.add_argument("--threshold", type=_finite_float, default=0.5)
+    p.add_argument("--threshold", type=_probability, default=0.5)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_dedup)
 
@@ -355,7 +355,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--records", required=True)
     p.add_argument("--given-location", action="store_true")
-    p.add_argument("--threshold", type=_finite_float, default=0.5)
+    p.add_argument("--threshold", type=_probability, default=0.5)
     p.add_argument("--out-csv", default=None)
     p.set_defaults(fn=_cmd_eval)
 

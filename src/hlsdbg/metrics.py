@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import csv
 import re
-from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import BUG_TYPE_ORDER, line_scores
+from .model import BUG_TYPE_ORDER, FLAG_THRESHOLD, line_scores
 from .mutate import BugRecord
 
 METRICS_CSV_HEADER = (
@@ -117,8 +116,7 @@ def binary_metrics(
     """Threshold scores and count the confusion matrix; AUC comes free."""
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
-    if s.shape != y.shape or s.ndim != 1:
-        raise ValueError("scores and labels must be equal-length 1-D sequences")
+    auc = rank_auc(s, y)  # raises unless scores and labels are equal-length 1-D sequences
     pred = s >= threshold
     truth = y == 1
     return BinaryEval(
@@ -126,7 +124,7 @@ def binary_metrics(
         fp=int(np.sum(pred & ~truth)),
         tn=int(np.sum(~pred & ~truth)),
         fn=int(np.sum(~pred & truth)),
-        auc=rank_auc(s, y) if s.size else None,
+        auc=auc,
     )
 
 
@@ -148,18 +146,55 @@ def code_topk(line_scores: Mapping[int, float], true_lines: set[int], k: int) ->
 
 
 @dataclass
-class _Pool:
-    scores: list[float] = field(default_factory=list)
-    labels: list[int] = field(default_factory=list)
+class RecordScore:
+    """One record's token and line scores beside their labels (`score_record`), and each hit or miss."""
 
-    def extend(self, scores: Iterable[float], labels: Iterable[int]) -> None:
-        self.scores.extend(scores)
-        self.labels.extend(labels)
+    bug_type: str
+    token_probs: np.ndarray
+    token_labels: list[int]
+    line_scores: list[float]
+    line_labels: list[int]
+    top1: bool
+    top5: bool
+    corrected: bool
+    truncated: bool
 
-    def evaluate(self, threshold: float) -> BinaryEval:
-        if not self.scores:
-            return BinaryEval()
-        return binary_metrics(self.scores, self.labels, threshold)
+
+def score_record(
+    model, record: BugRecord, given_location: bool = False, threshold: float = FLAG_THRESHOLD
+) -> RecordScore:
+    """Predict one record and score it against its labels.
+
+    Flagged tokens and labeled lines cut off a truncated input score 0.0, so
+    they count as misses; unlabeled ones the model never saw are left out.
+    """
+    pred = model.predict_record(record, given_location=given_location, threshold=threshold)
+    probs = pred.token_probs
+    n_cut_bugs = sum(record.token_labels[len(probs):])
+    per_line = {line: 0.0 for line in record.line_labels} | line_scores(probs, pred.stream)
+    lines = sorted(per_line)
+    return RecordScore(
+        bug_type=record.bug_type.name,
+        token_probs=np.concatenate([probs, np.zeros(n_cut_bugs)]),
+        token_labels=record.token_labels[: len(probs)] + [1] * n_cut_bugs,
+        line_scores=[per_line[line] for line in lines],
+        line_labels=[int(line in record.line_labels) for line in lines],
+        top1=code_topk(per_line, record.line_labels, 1),
+        top5=code_topk(per_line, record.line_labels, 5),
+        corrected=strict_substring_match(pred.generated_text, record.snippet_correct),
+        truncated=pred.truncated,
+    )
+
+
+def _pooled(rows: Sequence[RecordScore], threshold: float) -> tuple[BinaryEval, BinaryEval]:
+    """Token and line evaluations micro-averaged over rows."""
+    token = binary_metrics(
+        np.concatenate([r.token_probs for r in rows]), np.concatenate([r.token_labels for r in rows]), threshold
+    )
+    line = binary_metrics(
+        np.concatenate([r.line_scores for r in rows]), np.concatenate([r.line_labels for r in rows]), threshold
+    )
+    return token, line
 
 
 @dataclass
@@ -230,66 +265,30 @@ def write_metrics_csv(path: str | Path, report: MetricsReport) -> None:
 
 
 def evaluate(
-    model,
-    records: Sequence[BugRecord],
-    given_location: bool = False,
-    threshold: float = 0.5,
+    model, records: Sequence[BugRecord], given_location: bool = False, threshold: float = FLAG_THRESHOLD
 ) -> MetricsReport:
-    """Run the model over records and pool detection/correction metrics.
+    """Score every record (`score_record`) and pool the rows, overall and per bug type.
 
     Records pass `check_record`, as `read_jsonl` and the injector give them.
-
-    Token and line pools are micro-averaged across records, overall and
-    per bug type.  Labeled lines that fall beyond a truncated input are
-    scored 0.0 so they honestly count as misses rather than vanish.
+    One threshold flags tokens for the metrics and for the fix budget.
     """
     if not records:
         raise ValueError("no records to evaluate")
-    token_all = _Pool()
-    line_all = _Pool()
-    token_by: dict[str, _Pool] = defaultdict(_Pool)
-    line_by: dict[str, _Pool] = defaultdict(_Pool)
-    top1_hits = 0
-    top5_hits = 0
-    corrected = 0
-    truncated = 0
-
-    for record in records:
-        pred = model.predict_record(record, given_location=given_location)
-        probs = pred.token_probs
-        labels = record.token_labels[: probs.shape[0]]
-        if pred.truncated:
-            truncated += 1
-        name = record.bug_type.name
-        token_all.extend(probs[: len(labels)], labels)
-        token_by[name].extend(probs[: len(labels)], labels)
-
-        per_line = line_scores(probs, pred.stream)
-        for missing in record.line_labels - set(per_line):
-            per_line[missing] = 0.0
-        row_scores = []
-        row_labels = []
-        for line, score in sorted(per_line.items()):
-            row_scores.append(score)
-            row_labels.append(1 if line in record.line_labels else 0)
-        line_all.extend(row_scores, row_labels)
-        line_by[name].extend(row_scores, row_labels)
-
-        top1_hits += code_topk(per_line, record.line_labels, 1)
-        top5_hits += code_topk(per_line, record.line_labels, 5)
-        corrected += strict_substring_match(pred.generated_text, record.snippet_correct)
-
-    known_types = [t.name for t in BUG_TYPE_ORDER if t.name in token_by]
+    rows = [score_record(model, record, given_location, threshold) for record in records]
+    token, line = _pooled(rows, threshold)
+    groups = {t.name: [r for r in rows if r.bug_type == t.name] for t in BUG_TYPE_ORDER}
+    by_type = {name: _pooled(group, threshold) for name, group in groups.items() if group}
+    n = len(rows)
     return MetricsReport(
-        token=token_all.evaluate(threshold),
-        line=line_all.evaluate(threshold),
-        token_by_type={n: token_by[n].evaluate(threshold) for n in known_types},
-        line_by_type={n: line_by[n].evaluate(threshold) for n in known_types},
-        top1=top1_hits / len(records),
-        top5=top5_hits / len(records),
-        correction_accuracy=corrected / len(records),
-        n_records=len(records),
-        truncated_samples=truncated,
+        token=token,
+        line=line,
+        token_by_type={name: pools[0] for name, pools in by_type.items()},
+        line_by_type={name: pools[1] for name, pools in by_type.items()},
+        top1=sum(r.top1 for r in rows) / n,
+        top5=sum(r.top5 for r in rows) / n,
+        correction_accuracy=sum(r.corrected for r in rows) / n,
+        n_records=n,
+        truncated_samples=sum(r.truncated for r in rows),
         threshold=threshold,
         given_location=given_location,
     )

@@ -30,6 +30,7 @@ from .tensorstore import load_tensors, save_tensors
 
 BUG_TYPE_ORDER: tuple[BugType, ...] = tuple(BugType)
 BUG_TYPE_INDEX = {t: i for i, t in enumerate(BUG_TYPE_ORDER)}
+FLAG_THRESHOLD = 0.5  # the token probability at and above which the model flags a token
 
 
 class Vocab:
@@ -375,18 +376,21 @@ class DebuggerModel:
         ids = self.vocab.encode(texts)
         return ids[: self.config.max_tgt_len - 1] + [Vocab.END]
 
-    def predict_record(self, record: BugRecord, given_location: bool = False) -> RecordPrediction:
-        return self.predict_source(record.buggy_code, label_span(record) if given_location else None)
+    def predict_record(
+        self, record: BugRecord, given_location: bool = False, threshold: float = FLAG_THRESHOLD
+    ) -> RecordPrediction:
+        return self.predict_source(record.buggy_code, label_span(record) if given_location else None, threshold)
 
-    def predict_source(self, code: str, span: tuple[int, int] | None = None) -> RecordPrediction:
+    def predict_source(
+        self, code: str, span: tuple[int, int] | None = None, threshold: float = FLAG_THRESHOLD
+    ) -> RecordPrediction:
         """Encode, score tokens and type, then decode a fix for source text.
 
         With `span`, sentinels bracket the known bug tokens [lo, hi). The
         generation budget is `3 * max(1, n) + 2` tokens, capped at
         `max_tgt_len`: `n` is `hi - lo` with a span, and otherwise the count
-        of tokens the model itself flags (`FLAG_THRESHOLD`). Non-finite
-        scores or step logits (weights that are NaN, inf or overflow) raise
-        DataError.
+        of tokens scoring at least `threshold`. Non-finite scores or step
+        logits (weights that are NaN, inf or overflow) raise DataError.
         """
         stream = lex(code)
         ids = self.input_ids(stream, span)
@@ -397,7 +401,7 @@ class DebuggerModel:
             n_real = enc.token_counts[0]
             token_probs = probs_row[:n_real][~np.isin(ids[:n_real], (Vocab.BUG_OPEN, Vocab.BUG_CLOSE))]
             type_row = _finite(self.type_logits(enc).data[0].astype(np.float64), "type scores")
-            n_flagged = span[1] - span[0] if span is not None else int(np.sum(token_probs >= FLAG_THRESHOLD))
+            n_flagged = span[1] - span[0] if span is not None else int(np.sum(token_probs >= threshold))
             budget = min(3 * max(1, n_flagged) + 2, self.config.max_tgt_len)
             gen_ids = self.generate(enc, max_len=budget)
         return RecordPrediction(
@@ -470,9 +474,6 @@ def label_span(record: BugRecord) -> tuple[int, int]:
     """[lo, hi) hull from the first to the last flagged token; (0, 0) when none is."""
     flagged = [i for i, y in enumerate(record.token_labels) if y == 1]
     return (flagged[0], flagged[-1] + 1) if flagged else (0, 0)
-
-
-FLAG_THRESHOLD = 0.5  # the token probability at and above which the model flags a token
 
 
 def suspect_span(token_probs: np.ndarray) -> tuple[int, int]:

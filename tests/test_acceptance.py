@@ -334,7 +334,7 @@ class _ScriptedModel:
     def __init__(self, mode):
         self.mode = mode
 
-    def predict_record(self, record, given_location=False):
+    def predict_record(self, record, given_location=False, threshold=0.5):
         from types import SimpleNamespace
 
         stream = lex(record.buggy_code)

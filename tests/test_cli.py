@@ -114,6 +114,10 @@ class TestExitCodes:
         ["dedup", "--samples", "s.jsonl", "--benchmark", "b.jsonl", "--threshold", "nan"],
         ["dedup", "--samples", "s.jsonl", "--benchmark", "b.jsonl", "--threshold", "inf"],
         ["eval", "--model", "m.bin", "--records", "r.jsonl", "--threshold", "-inf"],
+        ["dedup", "--samples", "s.jsonl", "--benchmark", "b.jsonl", "--threshold", "1.5"],
+        ["dedup", "--samples", "s.jsonl", "--benchmark", "b.jsonl", "--threshold", "-0.1"],
+        ["eval", "--model", "m.bin", "--records", "r.jsonl", "--threshold", "1.5"],
+        ["eval", "--model", "m.bin", "--records", "r.jsonl", "--threshold", "-0.1"],
         ["debug", "kernel.c", "--model", "m.bin", "--top", "-1"],
         ["debug", "kernel.c", "--model", "m.bin", "--top", "0"],
         ["train", "--records", "r.jsonl", "--out-dir", "run", "--model-seed", "-1"],

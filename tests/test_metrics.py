@@ -186,7 +186,7 @@ class _StubModel:
     def __init__(self, mode):
         self.mode = mode
 
-    def predict_record(self, record, given_location=False):
+    def predict_record(self, record, given_location=False, threshold=0.5):
         stream = lex(record.buggy_code)
         labels = np.asarray(record.token_labels, dtype=np.float64)
         if self.mode == "oracle":
@@ -297,3 +297,36 @@ def test_eval_output_is_pinned(tmp_path):
             h.update(path.read_bytes())
     assert len(records) == 51
     assert h.hexdigest() == EVAL_OUTPUT_SHA256
+
+
+def _tiny_model(records, **overrides):
+    vocab = Vocab.for_records(records)
+    config = dict(
+        vocab_size=len(vocab), n_layers_enc=1, n_layers_dec=1, d_model=32, n_heads=2,
+        d_ff=64, max_src_len=512, max_tgt_len=16, dtype="f64",
+    )
+    return DebuggerModel(ModelConfig(**{**config, **overrides}), vocab, seed=11)
+
+
+class TestEvaluateModel:
+    def test_fix_budget_counts_tokens_at_the_evaluation_threshold(self, records, monkeypatch):
+        model = _tiny_model(records, max_tgt_len=64)
+        last = model.config.head_mlp_layers - 1
+        model.params[f"head_bug.w{last}"].data[:] = 0.0
+        model.params[f"head_bug.b{last}"].data[:] = 0.3  # every token scores sigmoid(0.3) = 0.574
+        budgets = []
+        monkeypatch.setattr(model, "generate", lambda enc, max_len=None: budgets.append(max_len) or [])
+        report = evaluate(model, records, threshold=0.75)
+        assert report.token.tp + report.token.fp == 0  # no token is flagged at 0.75 ...
+        assert budgets == [3 * 1 + 2] * len(records)  # ... so each fix gets the one-token budget
+
+    def test_tokens_cut_from_a_truncated_input_count_as_misses(self):
+        records = generate_corpus(make_corpus(6, seed=5), 4, seed=11).records
+        report = evaluate(_tiny_model(records, max_src_len=60), records)
+        assert report.truncated_samples > 0
+        flagged = sum(sum(r.token_labels) for r in records)
+        cut = sum(sum(r.token_labels[59:]) for r in records)  # one input slot is the pooled state
+        assert (flagged, cut) == (42, 38)
+        assert report.token.tp + report.token.fn == flagged
+        assert report.token.n == sum(min(len(r.token_labels), 59) for r in records) + cut
+        assert report.line.tp + report.line.fn == sum(len(r.line_labels) for r in records) == 24
