@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage error, 2 malformed data, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import shlex
@@ -25,7 +26,6 @@ import numpy as np
 
 from . import __version__
 from .corpus import (
-    DatasetManifest,
     Origin,
     dedup,
     ingest,
@@ -88,15 +88,16 @@ def _write_manifest(
     histogram: dict | None = None,
     notes: list[str] | None = None,
 ) -> None:
-    manifest = DatasetManifest(
-        version=__version__,
-        command="hlsdbg " + shlex.join(argv),
-        seed=seed,
-        counts=counts,
-        histogram=histogram or {},
-        notes=notes or [],
-    )
-    _manifest_path(out).write_text(manifest.to_json())
+    """Write `<out>.manifest.json` as sorted-key JSON; it holds no timestamp."""
+    manifest = {
+        "version": __version__,
+        "command": "hlsdbg " + shlex.join(argv),
+        "seed": seed,
+        "counts": counts,
+        "histogram": histogram or {},
+        "notes": notes or [],
+    }
+    _manifest_path(out).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _load_sample_pairs(args) -> list[tuple[str, str]]:

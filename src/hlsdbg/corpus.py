@@ -13,7 +13,7 @@ import json
 import random
 import re
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -395,19 +395,3 @@ def split(records: Sequence[BugRecord], ratio: float, seed: int) -> SplitResult:
         held_out = moved
         warnings.append("moved one group to held-out to keep both sides non-empty")
     return SplitResult(train=train, held_out=held_out, warnings=warnings)
-
-
-# --- manifest -----------------------------------------------------------------
-
-
-@dataclass
-class DatasetManifest:
-    version: str
-    command: str
-    seed: int | None
-    counts: dict
-    histogram: dict
-    notes: list[str] = field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"

@@ -231,14 +231,25 @@ class DebuggerModel:
     # --- encoder ----------------------------------------------------------------
 
     def encode_ids(self, ids_batch: Sequence[Sequence[int]]) -> EncoderOutput:
-        """Run the encoder over raw id sequences (CLS is prepended here)."""
+        """Run the encoder over raw id sequences (CLS is prepended here).
+
+        A row keeps its first `max_src_len - 1` real tokens (one slot is the
+        pooled state's); sentinels sit outside that budget, and one left after
+        the last kept token, which would have no position, is dropped.
+        `truncated` says a real token was cut.
+        """
         cfg = self.config
-        budget = cfg.max_src_len - 1  # one slot reserved for the pooled state
+        budget = cfg.max_src_len - 1
         rows, truncated = [], []
         for ids in ids_batch:
             ids = list(ids)
-            truncated.append(len(ids) > budget)
-            rows.append([Vocab.CLS] + ids[:budget])
+            cut = False
+            if len(ids) > budget:
+                n_real = np.cumsum(~np.isin(ids, (Vocab.BUG_OPEN, Vocab.BUG_CLOSE)))
+                cut = bool(n_real[-1] > budget)
+                ids = ids[: int(np.searchsorted(n_real, budget)) + 1]
+            truncated.append(cut)
+            rows.append([Vocab.CLS] + ids)
         token_counts = [len(r) - 1 for r in rows]
         s = max(len(r) for r in rows)
         b = len(rows)
@@ -297,7 +308,7 @@ class DebuggerModel:
             raise ValueError(f"target length {t} exceeds max_tgt_len {cfg.max_tgt_len}")
         causal = np.tril(np.ones((t, t), dtype=cfg.np_dtype))
         self_keep = causal.reshape(1, 1, t, t) * tgt_keep.reshape(b, 1, 1, t)
-        return self._decode(tgt_ids, 0, self._cross(enc), self_keep)
+        return self._decode(tgt_ids, 0, self._cross(enc), self_keep, [None] * cfg.n_layers_dec)
 
     def _cross(self, enc: EncoderOutput) -> tuple[list[list[Tensor]], np.ndarray]:
         """Each decoder layer's cross-attention keys and values, and their mask."""
@@ -311,13 +322,13 @@ class DebuggerModel:
         start: int,
         cross: tuple[list[list[Tensor]], np.ndarray],
         self_keep: np.ndarray | None,
-        cache: list[tuple[Tensor, Tensor] | None] | None = None,
+        cache: list[tuple[Tensor, Tensor] | None],
     ) -> Tensor:
         """(B, T, V) logits for target ids at positions `start`, `start+1`, ...
 
-        With `cache`, each layer's (B, T, D) self-attention keys and values
-        are appended to that layer's cached ones and attended in full, so a
-        greedy step pushes only its new position through the decoder.
+        Each layer's (B, T, D) self-attention keys and values are appended to
+        that layer's `cache` entry, if any, and attended in full, so a greedy
+        step pushes only its new position through the decoder.
         """
         cfg = self.config
         cross_kv, cross_keep = cross
@@ -326,11 +337,10 @@ class DebuggerModel:
         x = ad.add(x, ad.slice_(self.params["pos_dec"], slice(start, start + t)))
         for i in range(cfg.n_layers_dec):
             q, k, v = self._project(ad.layer_norm(x), f"dec{i}.self_", "wq", "wk", "wv")
-            if cache is not None:
-                if cache[i] is not None:
-                    k = ad.concat([cache[i][0], k], axis=1)
-                    v = ad.concat([cache[i][1], v], axis=1)
-                cache[i] = (k, v)
+            if cache[i] is not None:
+                k = ad.concat([cache[i][0], k], axis=1)
+                v = ad.concat([cache[i][1], v], axis=1)
+            cache[i] = (k, v)
             x = ad.add(x, self._attend(q, k, v, f"dec{i}.self_", self_keep))
             q = ad.linear(ad.layer_norm(x), self.params[f"dec{i}.cross_wq"])
             x = ad.add(x, self._attend(q, *cross_kv[i], f"dec{i}.cross_", cross_keep))

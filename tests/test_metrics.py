@@ -330,3 +330,14 @@ class TestEvaluateModel:
         assert report.token.tp + report.token.fn == flagged
         assert report.token.n == sum(min(len(r.token_labels), 59) for r in records) + cut
         assert report.line.tp + report.line.fn == sum(len(r.line_labels) for r in records) == 24
+
+    def test_given_location_scores_the_tokens_plain_mode_scores_on_a_truncated_input(self):
+        # the span sentinels sit outside the `max_src_len` budget, so both modes see the same real tokens
+        toy = [(p.stem, p.read_text()) for p in sorted(TOY_CORPUS.glob("*.c"))]
+        records = generate_corpus(toy + make_corpus(6, seed=5), per_sample=3, seed=11).records
+        model = _tiny_model(records, max_src_len=100)
+        plain = evaluate(model, records)
+        given = evaluate(model, records, given_location=True)
+        assert len(records) == 51 and plain.truncated_samples == given.truncated_samples == 33
+        assert plain.token.n == given.token.n == 4708
+        assert plain.line.n == given.line.n

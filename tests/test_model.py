@@ -211,6 +211,18 @@ class TestEncoder:
         assert enc.truncated == [True]
         assert enc.token_counts == [model.config.max_src_len - 1]
 
+    def test_sentinels_sit_outside_the_budget(self, model):
+        budget = model.config.max_src_len - 1
+        o, c = Vocab.BUG_OPEN, Vocab.BUG_CLOSE
+        # a real token is cut: the row keeps `budget` real tokens and drops the sentinel after them
+        enc = model.encode_ids([[10] * (budget - 2) + [o, 11, 12, c, 13]])
+        assert enc.truncated == [True]
+        assert enc.token_counts == [budget + 1]
+        # exactly `budget` real tokens: nothing real is cut, and the trailing sentinel has no position
+        enc = model.encode_ids([[10] * (budget - 1) + [o, 11, c]])
+        assert enc.truncated == [False]
+        assert enc.token_counts == [budget + 1]
+
     def test_position_sensitivity(self, model):
         a = model.encode_ids([[10, 11, 12, 13]])
         b = model.encode_ids([[10, 12, 11, 13]])
