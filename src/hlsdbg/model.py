@@ -260,9 +260,11 @@ class DebuggerModel:
             keep[i, : len(r)] = 1.0
 
         # Sentinels share the position of the token that follows them, so
-        # every real token keeps the position it has in plain mode.
+        # every real token keeps the position it has in plain mode. Padding
+        # takes position 0: a row that keeps its sentinels is two ids longer
+        # than the table, and padding beside it would count past the end.
         real = (ids_arr != Vocab.BUG_OPEN) & (ids_arr != Vocab.BUG_CLOSE)
-        pos_ids = np.cumsum(real, axis=1) - real
+        pos_ids = np.where(keep > 0, np.cumsum(real, axis=1) - real, 0)
         x = ad.embedding_lookup(self.params["src_embed"], ids_arr)
         x = ad.add(x, ad.embedding_lookup(self.params["pos_enc"], pos_ids))
         attn_keep = keep.reshape(b, 1, 1, s)

@@ -223,6 +223,19 @@ class TestEncoder:
         assert enc.truncated == [False]
         assert enc.token_counts == [budget + 1]
 
+    def test_padding_next_to_a_row_that_keeps_its_sentinels(self, model):
+        # a cut given-location row holds `budget` real tokens and both sentinels, two ids more than
+        # the cut plain row beside it; the plain row's padding must not take positions past the table
+        budget = model.config.max_src_len - 1
+        o, c = Vocab.BUG_OPEN, Vocab.BUG_CLOSE
+        given = [10] * 5 + [o, 11, c] + [12] * budget
+        plain = [13] * (budget + 5)
+        enc = model.encode_ids([given, plain])
+        assert enc.truncated == [True, True]
+        assert enc.token_counts == [budget + 2, budget]
+        alone = model.encode_ids([plain])
+        assert np.allclose(enc.memory.data[1, : budget + 1], alone.memory.data[0], atol=1e-12)
+
     def test_position_sensitivity(self, model):
         a = model.encode_ids([[10, 11, 12, 13]])
         b = model.encode_ids([[10, 12, 11, 13]])

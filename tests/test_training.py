@@ -268,6 +268,15 @@ class TestTrain:
         result = train(model, records[:4], cfg)
         assert all(np.isfinite(row.l_all) for row in result.curve)
 
+    def test_given_location_trains_on_truncated_records(self, vocab, records):
+        # these records run past max_src_len 70 with spans inside it, so a given-location row
+        # keeps both sentinels and is two ids longer than the plain rows it is batched with
+        model = _tiny_model(vocab, seed=4, max_src_len=70)
+        cfg = TrainConfig(epochs=2, batch_size=4, lr=1e-3, seed=5, given_location_fraction=0.5)
+        result = train(model, [records[i] for i in (1, 2, 4, 5)], cfg)
+        assert result.n_truncated == 4
+        assert all(np.isfinite(row.l_all) for row in result.curve)
+
     def test_stop_fn_halts_after_epoch(self, vocab, records):
         model = _tiny_model(vocab, seed=5)
         cfg = TrainConfig(epochs=50, batch_size=4, lr=1e-3, seed=5)
