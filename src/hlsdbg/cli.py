@@ -225,7 +225,7 @@ def _cmd_train(args, argv) -> int:
         seed=seed_used,
         counts={
             "records": len(records),
-            "epochs": result.final_epoch + 1,
+            "epochs": result.epochs,
             "steps": result.curve[-1].step if result.curve else 0,
             "truncated_inputs": result.n_truncated,
         },
@@ -233,7 +233,7 @@ def _cmd_train(args, argv) -> int:
         notes=notes,
     )
     final = result.curve[-1].l_all if result.curve else float("nan")
-    print(f"train: {result.final_epoch + 1} epochs, final loss {final:.4f} -> {model_path}")
+    print(f"train: {result.epochs} epochs, final loss {final:.4f} -> {model_path}")
     return 0
 
 

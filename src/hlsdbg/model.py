@@ -5,10 +5,11 @@ produces per-token states plus a pooled state; two MLP heads read bug
 probabilities (per token) and a bug-type distribution (from the pooled
 slot) off those states. The decoder regenerates the correct snippet while
 cross-attending to all encoder states, pooled slot included. Optionally the
-known bug span can be bracketed with sentinel tokens so the decoder solves
-correction in isolation. The sentinels add information without moving any
-token: each one shares the position of the token that follows it, so every
-real token has the same position as in plain mode.
+known bug span (lo, hi) is marked with sentinel tokens so the decoder solves
+correction in isolation. The encoder alone places them, by one rule: a row
+keeps its first `max_src_len - 1` tokens, a sentinel goes before token
+j in {lo, hi} only if j is within that budget, and it takes token j's
+position, so every token has the same position as in plain mode.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ class EncoderOutput:
     e_cls: Tensor             # (B, D)
     e_tokens: Tensor          # (B, S-1, D)
     pad_mask: np.ndarray      # (B, S) 1.0 at real positions
-    token_counts: list[int]   # real (non-pad) token positions per row, excl. pooled slot
+    is_token: np.ndarray      # (B, S-1) True at token slots: not padding, not a sentinel
     truncated: list[bool]
 
 
@@ -125,7 +126,7 @@ class RecordPrediction:
     generated_text: str
     generated_ids: list[int]
     truncated: bool
-    stream: TokenStream = field(repr=False, default=None)
+    stream: TokenStream = field(repr=False)
 
 
 def param_spec(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], float]]:
@@ -230,41 +231,39 @@ class DebuggerModel:
 
     # --- encoder ----------------------------------------------------------------
 
-    def encode_ids(self, ids_batch: Sequence[Sequence[int]]) -> EncoderOutput:
-        """Run the encoder over raw id sequences (CLS is prepended here).
+    def encode_ids(
+        self, ids_batch: Sequence[Sequence[int]], spans: Sequence[tuple[int, int] | None] | None = None
+    ) -> EncoderOutput:
+        """Run the encoder over token id rows (CLS is prepended here).
 
-        A row keeps its first `max_src_len - 1` real tokens (one slot is the
-        pooled state's); sentinels sit outside that budget, and one left after
-        the last kept token, which would have no position, is dropped.
-        `truncated` says a real token was cut.
+        A row keeps its first `budget = max_src_len - 1` tokens (one slot is
+        the pooled state's); `truncated` says it had more. With a span
+        (lo, hi), BUG_OPEN goes before token lo and BUG_CLOSE before token
+        hi, each only if that index is below the budget, and each takes the
+        position of that token, j + 1 counting the pooled slot. Padding takes
+        position 0.
         """
         cfg = self.config
         budget = cfg.max_src_len - 1
-        rows, truncated = [], []
-        for ids in ids_batch:
-            ids = list(ids)
-            cut = False
-            if len(ids) > budget:
-                n_real = np.cumsum(~np.isin(ids, (Vocab.BUG_OPEN, Vocab.BUG_CLOSE)))
-                cut = bool(n_real[-1] > budget)
-                ids = ids[: int(np.searchsorted(n_real, budget)) + 1]
-            truncated.append(cut)
-            rows.append([Vocab.CLS] + ids)
-        token_counts = [len(r) - 1 for r in rows]
-        s = max(len(r) for r in rows)
-        b = len(rows)
+        rows, truncated = [], []  # a row is (id, position, is a token) per slot after the pooled one
+        for ids, span in zip(ids_batch, spans or [None] * len(ids_batch)):
+            truncated.append(len(ids) > budget)
+            row = [(t, j + 1, True) for j, t in enumerate(ids[:budget])]
+            if span is not None:  # close first: index lo still finds token lo, and lo == hi puts open first
+                for j, sentinel in ((span[1], Vocab.BUG_CLOSE), (span[0], Vocab.BUG_OPEN)):
+                    if j < budget:
+                        row.insert(j, (sentinel, j + 1, False))
+            rows.append(row)
+        b, s = len(rows), 1 + max(len(r) for r in rows)
         ids_arr = np.full((b, s), Vocab.PAD, dtype=np.int64)
+        ids_arr[:, 0] = Vocab.CLS
+        pos_ids = np.zeros((b, s), dtype=np.int64)
         keep = np.zeros((b, s), dtype=cfg.np_dtype)
-        for i, r in enumerate(rows):
-            ids_arr[i, : len(r)] = r
-            keep[i, : len(r)] = 1.0
-
-        # Sentinels share the position of the token that follows them, so
-        # every real token keeps the position it has in plain mode. Padding
-        # takes position 0: a row that keeps its sentinels is two ids longer
-        # than the table, and padding beside it would count past the end.
-        real = (ids_arr != Vocab.BUG_OPEN) & (ids_arr != Vocab.BUG_CLOSE)
-        pos_ids = np.where(keep > 0, np.cumsum(real, axis=1) - real, 0)
+        is_token = np.zeros((b, s - 1), dtype=bool)
+        for i, row in enumerate(rows):
+            n = len(row)
+            ids_arr[i, 1 : n + 1], pos_ids[i, 1 : n + 1], is_token[i, :n] = np.array(row, dtype=np.int64).reshape(n, 3).T
+            keep[i, : n + 1] = 1.0
         x = ad.embedding_lookup(self.params["src_embed"], ids_arr)
         x = ad.add(x, ad.embedding_lookup(self.params["pos_enc"], pos_ids))
         attn_keep = keep.reshape(b, 1, 1, s)
@@ -278,7 +277,7 @@ class DebuggerModel:
             e_cls=ad.slice_(memory, (slice(None), 0)),
             e_tokens=ad.slice_(memory, (slice(None), slice(1, None))),
             pad_mask=keep,
-            token_counts=token_counts,
+            is_token=is_token,
             truncated=truncated,
         )
 
@@ -374,11 +373,6 @@ class DebuggerModel:
 
     # --- record-level API ----------------------------------------------------------
 
-    def input_ids(self, stream: TokenStream, span: tuple[int, int] | None = None) -> list[int]:
-        """Encoder input ids of lexed tokens; with `span`, sentinels bracket tokens [lo, hi)."""
-        ids = self.vocab.encode(stream.texts())
-        return ids if span is None else bracket(ids, span, Vocab.BUG_OPEN, Vocab.BUG_CLOSE)
-
     def target_ids(self, record: BugRecord) -> list[int]:
         """Decoder supervision: the correct snippet's token ids plus END; END alone for a deletion."""
         try:
@@ -398,20 +392,17 @@ class DebuggerModel:
     ) -> RecordPrediction:
         """Encode, score tokens and type, then decode a fix for source text.
 
-        With `span`, sentinels bracket the known bug tokens [lo, hi). The
+        With `span`, sentinels mark the known bug tokens [lo, hi). The
         generation budget is `3 * max(1, n) + 2` tokens, capped at
         `max_tgt_len`: `n` is `hi - lo` with a span, and otherwise the count
         of tokens scoring at least `threshold`. Non-finite scores or step
         logits (weights that are NaN, inf or overflow) raise DataError.
         """
         stream = lex(code)
-        ids = self.input_ids(stream, span)
         with np.errstate(over="ignore", invalid="ignore"):
-            enc = self.encode_ids([ids])
+            enc = self.encode_ids([self.vocab.encode(stream.texts())], [span])
             bug_row = _finite(self.bug_logits(enc).data[0].astype(np.float64), "bug scores")
-            probs_row = 1.0 / (1.0 + np.exp(-bug_row))
-            n_real = enc.token_counts[0]
-            token_probs = probs_row[:n_real][~np.isin(ids[:n_real], (Vocab.BUG_OPEN, Vocab.BUG_CLOSE))]
+            token_probs = (1.0 / (1.0 + np.exp(-bug_row)))[enc.is_token[0]]
             type_row = _finite(self.type_logits(enc).data[0].astype(np.float64), "type scores")
             n_flagged = span[1] - span[0] if span is not None else int(np.sum(token_probs >= threshold))
             budget = min(3 * max(1, n_flagged) + 2, self.config.max_tgt_len)
@@ -474,12 +465,6 @@ def _finite(row: np.ndarray, what: str) -> np.ndarray:
     if not np.isfinite(row).all():
         raise DataError(f"the model produced non-finite {what}; its weights are unusable")
     return row
-
-
-def bracket(seq: Sequence, span: tuple[int, int], open_, close) -> list:
-    """`seq` with `open_` inserted before index `lo` and `close` before index `hi`."""
-    lo, hi = span
-    return [*seq[:lo], open_, *seq[lo:hi], close, *seq[hi:]]
 
 
 def label_span(record: BugRecord) -> tuple[int, int]:

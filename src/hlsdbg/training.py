@@ -27,7 +27,7 @@ from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward, check_finite
 from .errors import DataError
 from .lexer import lex
-from .model import BUG_TYPE_INDEX, DebuggerModel, ModelConfig, Vocab, bracket, dataclass_from_meta, label_span
+from .model import BUG_TYPE_INDEX, DebuggerModel, ModelConfig, Vocab, dataclass_from_meta, label_span
 from .mutate import BugRecord
 from .optim import AdamState, adam_step, clip_global_norm
 from .tensorstore import load_tensors
@@ -142,13 +142,13 @@ class _Example:
 
     ids: list[int]  # plain encoder input ids
     token_labels: list[int]
-    span: tuple[int, int]  # the label span that given-location rows bracket
+    span: tuple[int, int]  # the label span that given-location rows mark
     type_label: int
     target: list[int]  # decoder target ids, END last
 
 
 def _example(model: DebuggerModel, rec: BugRecord) -> _Example:
-    return _Example(model.input_ids(lex(rec.buggy_code)), rec.token_labels, label_span(rec),
+    return _Example(model.vocab.encode(lex(rec.buggy_code).texts()), rec.token_labels, label_span(rec),
                     BUG_TYPE_INDEX[rec.bug_type], model.target_ids(rec))
 
 
@@ -178,6 +178,7 @@ def _epoch_batches(
 @dataclass
 class _Batch:
     ids: list[list[int]]
+    spans: list[tuple[int, int] | None]  # the label span of a given-location row
     bug_rows: list[list[int]]
     type_labels: np.ndarray
     tgt_in: np.ndarray
@@ -186,14 +187,6 @@ class _Batch:
 
 
 def _build_batch(model: DebuggerModel, examples: Sequence[_Example], givens: Sequence[bool]) -> _Batch:
-    ids_batch, bug_rows = [], []
-    for ex, given in zip(examples, givens):
-        if given:
-            ids_batch.append(bracket(ex.ids, ex.span, Vocab.BUG_OPEN, Vocab.BUG_CLOSE))
-            bug_rows.append(bracket(ex.token_labels, ex.span, 0, 0))
-        else:
-            ids_batch.append(ex.ids)
-            bug_rows.append(ex.token_labels)
     t = max(len(ex.target) for ex in examples)
     b = len(examples)
     tgt_in = np.full((b, t), Vocab.PAD, dtype=np.int64)
@@ -205,8 +198,9 @@ def _build_batch(model: DebuggerModel, examples: Sequence[_Example], givens: Seq
         tgt_out[i, : len(row)] = row
         keep[i, : len(row)] = 1.0
     return _Batch(
-        ids=ids_batch,
-        bug_rows=bug_rows,
+        ids=[ex.ids for ex in examples],
+        spans=[ex.span if given else None for ex, given in zip(examples, givens)],
+        bug_rows=[ex.token_labels for ex in examples],
         type_labels=np.asarray([ex.type_label for ex in examples], dtype=np.int64),
         tgt_in=tgt_in,
         tgt_out=tgt_out,
@@ -220,14 +214,13 @@ def batch_losses(
     """(rows the encoder truncated, L_type, L_bug, L_decoder, L_all) of one batch.
 
     The one training objective: the trainer steps on it and the gradient
-    checks differentiate it. The bug loss covers the token positions the
-    encoder kept, as its padding mask says.
+    checks differentiate it. The bug loss covers the positions the encoder
+    kept, as its padding mask says; sentinels count with label 0.
     """
-    enc = model.encode_ids(batch.ids)
+    enc = model.encode_ids(batch.ids, batch.spans)
     mask = enc.pad_mask[:, 1:]  # without the pooled slot
     labels = np.zeros_like(mask)
-    for i, (row, n) in enumerate(zip(batch.bug_rows, enc.token_counts)):
-        labels[i, :n] = row[:n]
+    labels[enc.is_token] = [y for row, n in zip(batch.bug_rows, enc.is_token.sum(axis=1)) for y in row[:n]]
     l_t = loss_type(model.type_logits(enc), batch.type_labels)
     l_b = loss_bug(model.bug_logits(enc), labels, mask, weights)
     l_d = loss_decoder(model.decoder_logits(enc, batch.tgt_in, batch.tgt_keep), batch.tgt_out, batch.tgt_keep)
@@ -249,7 +242,7 @@ class CurveRow:
 @dataclass
 class TrainResult:
     curve: list[CurveRow]
-    final_epoch: int
+    epochs: int  # the epoch count the run reached
     n_truncated: int  # records the encoder truncated in at least one step of the call
 
 
@@ -422,7 +415,7 @@ def _run(state: TrainState, records: Sequence[BugRecord], out_dir: str | Path | 
             break
     if out_path is not None:
         write_curve_csv(out_path / "curve.csv", state.curve)
-    return TrainResult(state.curve[first_row:], state.epoch - 1, len(cut))
+    return TrainResult(state.curve[first_row:], state.epoch, len(cut))
 
 
 # --- config files ----------------------------------------------------------------------

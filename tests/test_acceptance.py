@@ -290,7 +290,7 @@ def overfit_run():
 def test_criterion_4_overfit_smoke(overfit_run):
     plain = overfit_run["plain"]
     result = overfit_run["result"]
-    epochs_used = result.final_epoch + 1
+    epochs_used = result.epochs
     elapsed = overfit_run["elapsed"]
     ok = (
         plain.token.f1 >= 0.95

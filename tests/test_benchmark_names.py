@@ -1,0 +1,42 @@
+"""The names the benchmark under `perfbench/` reaches into `hlsdbg` by.
+
+perfbench's tracer wraps functions and methods by name, and its checks call
+a few library functions directly. The benchmark does not change with the
+program, so a rename here would break it; this guard fails first.
+"""
+
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from perfbench.tracer import Tracer, install  # noqa: E402
+
+from hlsdbg import corpus, mutate, training  # noqa: E402
+from hlsdbg.model import DebuggerModel  # noqa: E402
+
+
+def test_tracer_finds_every_name_it_wraps():
+    tracer = Tracer()
+    try:
+        install(tracer)  # a missing function or method raises here
+    finally:
+        tracer.uninstall()
+
+
+# each name a check calls, with the arguments of that call
+CALLED = [
+    (corpus, "split", ("records", 0.75, 0)),
+    (mutate, "verify_record", ("record",)),
+    (training, "read_curve_csv", ("curve.csv",)),
+    (DebuggerModel, "predict_source", ("model", "code")),
+    (DebuggerModel, "encode_ids", ("model", [[10, 11]])),
+]
+
+
+@pytest.mark.parametrize("owner, name, args", CALLED, ids=[name for _, name, _ in CALLED])
+def test_checks_find_the_names_they_call(owner, name, args):
+    inspect.signature(getattr(owner, name)).bind(*args)

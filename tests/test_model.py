@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hlsdbg import autodiff as ad
 from hlsdbg.autodiff import Tensor
 from hlsdbg.errors import DataError
 from hlsdbg.lexer import lex
@@ -15,7 +16,6 @@ from hlsdbg.model import (
     EncoderOutput,
     ModelConfig,
     Vocab,
-    bracket,
     label_span,
     line_scores,
     suspect_span,
@@ -73,6 +73,47 @@ def _tiny_config(vocab, **overrides):
 @pytest.fixture(scope="module")
 def model(vocab):
     return DebuggerModel(_tiny_config(vocab), vocab, seed=11)
+
+
+def _ids(m: DebuggerModel, code: str) -> list[int]:
+    return m.vocab.encode(lex(code).texts())
+
+
+def _transparent(m: DebuggerModel) -> DebuggerModel:
+    """`m` with the encoder's residual branches zeroed: each state is layer_norm(embedding + position)."""
+    for i in range(m.config.n_layers_enc):
+        for w in ("wo", "w2", "b2"):
+            m.params[f"enc{i}.{w}"].data[...] = 0.0
+    return m
+
+
+O, C, PAD = Vocab.BUG_OPEN, Vocab.BUG_CLOSE, Vocab.PAD
+BUDGET = 7  # tokens kept by a model of max_src_len 8; one slot is the pooled state's
+
+
+def _tok(*ks: int) -> list[tuple[int, int]]:
+    """(id, position) of tokens `ks` of a test row, whose token k is id 10 + k."""
+    return [(10 + k, k + 1) for k in ks]
+
+
+# name, rows as (token count, span), and per row (truncated, (id, position) of each slot after the pooled one)
+SENTINEL_CASES = [
+    ("cut-hi-at-budget-1", [(9, (5, 6))],
+     [(True, _tok(0, 1, 2, 3, 4) + [(O, 6)] + _tok(5) + [(C, 7)] + _tok(6))]),
+    ("cut-lo-at-budget-1-hi-at-budget", [(9, (6, 7))],
+     [(True, _tok(0, 1, 2, 3, 4, 5) + [(O, 7)] + _tok(6))]),
+    ("cut-lo-at-budget", [(9, (7, 8))], [(True, _tok(0, 1, 2, 3, 4, 5, 6))]),
+    ("exact-hi-at-budget-1", [(7, (5, 6))],
+     [(False, _tok(0, 1, 2, 3, 4) + [(O, 6)] + _tok(5) + [(C, 7)] + _tok(6))]),
+    ("exact-lo-at-budget-1-hi-at-budget", [(7, (6, 7))],
+     [(False, _tok(0, 1, 2, 3, 4, 5) + [(O, 7)] + _tok(6))]),
+    ("short-span-ends-at-last-token", [(4, (2, 4))],
+     [(False, _tok(0, 1) + [(O, 3)] + _tok(2, 3) + [(C, 5)])]),
+    ("empty-span", [(3, (0, 0))], [(False, [(O, 1), (C, 1)] + _tok(0, 1, 2))]),
+    ("cut-plain-beside-both-sentinels", [(12, (1, 2)), (12, None)],
+     [(True, _tok(0) + [(O, 2)] + _tok(1) + [(C, 3)] + _tok(2, 3, 4, 5, 6)),
+      (True, _tok(0, 1, 2, 3, 4, 5, 6) + [(PAD, 0), (PAD, 0)])]),
+]
 
 
 # --- vocabulary -------------------------------------------------------------
@@ -201,7 +242,7 @@ class TestEncoder:
         assert enc.memory.shape == (2, 6, d)
         assert enc.e_cls.shape == (2, d)
         assert enc.e_tokens.shape == (2, 5, d)
-        assert enc.token_counts == [3, 5]
+        assert enc.is_token.tolist() == [[True] * 3 + [False] * 2, [True] * 5]
         assert enc.pad_mask[0].tolist() == [1, 1, 1, 1, 0, 0]
         assert enc.truncated == [False, False]
 
@@ -209,32 +250,30 @@ class TestEncoder:
         too_long = [10] * (model.config.max_src_len + 5)
         enc = model.encode_ids([too_long])
         assert enc.truncated == [True]
-        assert enc.token_counts == [model.config.max_src_len - 1]
+        assert enc.is_token.shape == (1, model.config.max_src_len - 1) and enc.is_token.all()
 
-    def test_sentinels_sit_outside_the_budget(self, model):
-        budget = model.config.max_src_len - 1
-        o, c = Vocab.BUG_OPEN, Vocab.BUG_CLOSE
-        # a real token is cut: the row keeps `budget` real tokens and drops the sentinel after them
-        enc = model.encode_ids([[10] * (budget - 2) + [o, 11, 12, c, 13]])
-        assert enc.truncated == [True]
-        assert enc.token_counts == [budget + 1]
-        # exactly `budget` real tokens: nothing real is cut, and the trailing sentinel has no position
-        enc = model.encode_ids([[10] * (budget - 1) + [o, 11, c]])
-        assert enc.truncated == [False]
-        assert enc.token_counts == [budget + 1]
-
-    def test_padding_next_to_a_row_that_keeps_its_sentinels(self, model):
-        # a cut given-location row holds `budget` real tokens and both sentinels, two ids more than
-        # the cut plain row beside it; the plain row's padding must not take positions past the table
-        budget = model.config.max_src_len - 1
-        o, c = Vocab.BUG_OPEN, Vocab.BUG_CLOSE
-        given = [10] * 5 + [o, 11, c] + [12] * budget
-        plain = [13] * (budget + 5)
-        enc = model.encode_ids([given, plain])
-        assert enc.truncated == [True, True]
-        assert enc.token_counts == [budget + 2, budget]
-        alone = model.encode_ids([plain])
-        assert np.allclose(enc.memory.data[1, : budget + 1], alone.memory.data[0], atol=1e-12)
+    @pytest.mark.parametrize("rows, want", [c[1:] for c in SENTINEL_CASES], ids=[c[0] for c in SENTINEL_CASES])
+    def test_sentinel_rule(self, vocab, rows, want):
+        # a row keeps BUDGET tokens; a sentinel goes before token j only if j < BUDGET and takes
+        # position j + 1; padding takes position 0
+        ids = [[10 + k for k in range(n)] for n, _ in rows]
+        spans = [span for _, span in rows]
+        cfg = _tiny_config(vocab, max_src_len=BUDGET + 1)
+        m = _transparent(DebuggerModel(cfg, vocab, seed=11))
+        enc = m.encode_ids(ids, spans)
+        assert enc.truncated == [cut for cut, _ in want]
+        for i, (_, slots) in enumerate(want):
+            slot_ids, positions = (np.array(col) for col in zip((Vocab.CLS, 0), *slots))
+            states = ad.layer_norm(Tensor(m.params["src_embed"].data[slot_ids] + m.params["pos_enc"].data[positions]))
+            np.testing.assert_allclose(enc.memory.data[i], states.data, rtol=0, atol=1e-12)
+            assert enc.is_token[i].tolist() == [t not in (O, C, PAD) for t, _ in slots]
+            assert enc.pad_mask[i].tolist() == [1.0] + [float(t != PAD) for t, _ in slots]
+        # with attention mixing the slots, each row's states are those it has alone
+        full = DebuggerModel(cfg, vocab, seed=11)
+        batch = full.encode_ids(ids, spans)
+        for i, (row, span) in enumerate(zip(ids, spans)):
+            alone = full.encode_ids([row], [span]).memory.data[0]
+            np.testing.assert_allclose(batch.memory.data[i, : len(alone)], alone, rtol=0, atol=1e-12)
 
     def test_position_sensitivity(self, model):
         a = model.encode_ids([[10, 11, 12, 13]])
@@ -271,7 +310,7 @@ class TestHeads:
             e_cls=Tensor(np.zeros((1, d))),
             e_tokens=Tensor(np.zeros((1, 2, d))),
             pad_mask=np.ones((1, 3)),
-            token_counts=[2],
+            is_token=np.ones((1, 2), dtype=bool),
             truncated=[False],
         )
         logits = model.type_logits(enc).data
@@ -338,14 +377,14 @@ class TestCachedDecoding:
 
     @pytest.mark.parametrize("max_len", [1, 2, 5, None])
     def test_ids_are_teacher_forced_argmaxes(self, deep, records, max_len):
-        enc = deep.encode_ids([deep.input_ids(lex(records[0].buggy_code))])
+        enc = deep.encode_ids([_ids(deep, records[0].buggy_code)])
         ids = deep.generate(enc, max_len=max_len)
         assert len(ids) == (max_len or deep.config.max_tgt_len) - 1  # this fixture never emits END
         tf = self._teacher_forced(deep, enc, ids)
         assert np.argmax(tf[: len(ids)], axis=-1).tolist() == ids
 
     def test_step_logits_match_teacher_forcing(self, deep, records):
-        enc = deep.encode_ids([deep.input_ids(lex(records[1].buggy_code), label_span(records[1]))])
+        enc = deep.encode_ids([_ids(deep, records[1].buggy_code)], [label_span(records[1])])
         ids = deep.generate(enc)
         cross = deep._cross(enc)
         cache = [None] * deep.config.n_layers_dec
@@ -357,7 +396,7 @@ class TestCachedDecoding:
 
     def test_early_end(self, vocab, records):
         m = DebuggerModel(_tiny_config(vocab, n_layers_dec=2), vocab, seed=13)
-        enc = m.encode_ids([m.input_ids(lex(records[0].buggy_code))])
+        enc = m.encode_ids([_ids(m, records[0].buggy_code)])
         full = m.generate(enc)
         tf = self._teacher_forced(m, enc, full)
         margin = tf.max(axis=-1) - tf[:, Vocab.END]  # how far END is from winning each step
@@ -377,48 +416,36 @@ class TestRecordApi:
     def test_plain_input_matches_token_count(self, model, records):
         rec = records[0]
         stream = lex(rec.buggy_code)
-        ids = model.input_ids(stream)
-        assert len(ids) == stream.n_tokens == len(rec.token_labels)
-        assert Vocab.BUG_OPEN not in ids and Vocab.BUG_CLOSE not in ids
+        enc = model.encode_ids([_ids(model, rec.buggy_code)])
+        assert stream.n_tokens == len(rec.token_labels)
+        assert enc.is_token.shape == (1, stream.n_tokens) and enc.is_token.all()  # no sentinel slot
 
     def test_given_location_adds_sentinels(self, model, records):
         rec = records[0]
         flagged = [i for i, y in enumerate(rec.token_labels) if y]
         span = label_span(rec)
         assert span == (flagged[0], flagged[-1] + 1)
-        ids = model.input_ids(lex(rec.buggy_code), span)
-        assert len(ids) == len(rec.token_labels) + 2
-        assert ids.count(Vocab.BUG_OPEN) == 1 and ids.count(Vocab.BUG_CLOSE) == 1
-        open_at = ids.index(Vocab.BUG_OPEN)
-        close_at = ids.index(Vocab.BUG_CLOSE)
-        assert open_at == flagged[0]
-        assert close_at == flagged[-1] + 2
-        # label rows get zeros at the sentinels and keep every label in order
-        rows = bracket(rec.token_labels, span, 0, 0)
-        assert rows[open_at] == rows[close_at] == 0
-        assert [y for i, y in enumerate(rows) if i not in (open_at, close_at)] == rec.token_labels
+        enc = model.encode_ids([_ids(model, rec.buggy_code)], [span])
+        assert enc.is_token.shape == (1, len(rec.token_labels) + 2)
+        assert np.flatnonzero(~enc.is_token[0]).tolist() == [flagged[0], flagged[-1] + 2]
 
-    def test_label_span_without_flagged_tokens(self, records):
+    def test_label_span_without_flagged_tokens(self, model, records):
         rec = dataclasses.replace(records[0], token_labels=[0] * len(records[0].token_labels))
         assert label_span(rec) == (0, 0)
-        assert bracket([7, 8], label_span(rec), "(", ")") == ["(", ")", 7, 8]
+        enc = model.encode_ids([[10, 11]], [label_span(rec)])
+        assert enc.is_token[0].tolist() == [False, False, True, True]  # both sentinels before token 0
 
     def test_sentinels_keep_token_positions(self, vocab, records):
         # With the encoder's residual branches zeroed, each state depends on
         # its own token and position only; sentinels must not shift them.
-        m = DebuggerModel(_tiny_config(vocab), vocab, seed=11)
-        for i in range(m.config.n_layers_enc):
-            for w in ("wo", "w2", "b2"):
-                m.params[f"enc{i}.{w}"].data[...] = 0.0
+        m = _transparent(DebuggerModel(_tiny_config(vocab), vocab, seed=11))
         rec = records[0]
-        stream = lex(rec.buggy_code)
-        plain_ids = m.input_ids(stream)
-        given_ids = m.input_ids(stream, label_span(rec))
-        plain = m.encode_ids([plain_ids]).e_tokens.data[0]
-        given = m.encode_ids([given_ids]).e_tokens.data[0]
-        real = ~np.isin(given_ids, [Vocab.BUG_OPEN, Vocab.BUG_CLOSE])
-        assert real.sum() == len(plain_ids)
-        assert np.array_equal(given[real], plain)
+        ids = _ids(m, rec.buggy_code)
+        plain = m.encode_ids([ids]).e_tokens.data[0]
+        enc = m.encode_ids([ids], [label_span(rec)])
+        real = enc.is_token[0]
+        assert real.sum() == len(ids)
+        assert np.array_equal(enc.e_tokens.data[0][real], plain)
 
     def test_plain_prediction_reads_no_labels(self, vocab, records):
         model = DebuggerModel(_tiny_config(vocab), vocab, seed=11)

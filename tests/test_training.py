@@ -10,7 +10,7 @@ import pytest
 from hlsdbg.autodiff import Tape, Tensor, backward
 from hlsdbg.errors import DataError, NumericError
 from hlsdbg.lexer import lex
-from hlsdbg.model import DebuggerModel, ModelConfig, Vocab
+from hlsdbg.model import DebuggerModel, ModelConfig, Vocab, label_span
 from hlsdbg.mutate import generate_corpus
 from hlsdbg.synth import make_corpus
 from hlsdbg.training import (
@@ -249,7 +249,7 @@ class TestTrain:
         cfg = TrainConfig(epochs=12, batch_size=4, lr=1e-3, seed=7)
         result = train(model, records[:4], cfg)
         assert result.curve[-1].l_all < result.curve[0].l_all
-        assert result.final_epoch == 11
+        assert result.epochs == 12
 
     def test_deterministic_curves(self, vocab, records):
         cfg = TrainConfig(epochs=3, batch_size=4, lr=1e-3, seed=9)
@@ -281,7 +281,7 @@ class TestTrain:
         model = _tiny_model(vocab, seed=5)
         cfg = TrainConfig(epochs=50, batch_size=4, lr=1e-3, seed=5)
         result = train(model, records[:4], cfg, stop_fn=lambda epoch, m: epoch >= 1)
-        assert result.final_epoch == 1
+        assert result.epochs == 2
 
     def test_first_curve_row_is_batch_losses_of_first_batch(self, vocab, records):
         cfg = TrainConfig(epochs=1, batch_size=3, lr=1e-3, seed=4, given_location_fraction=0.5)
@@ -293,6 +293,25 @@ class TestTrain:
         batch = _build_batch(model, [examples[i] for i, _ in first], [given for _, given in first])
         _, *losses = batch_losses(model, batch, LossWeights())
         assert [float(loss.data) for loss in losses] == [row.l_type, row.l_bug, row.l_decoder, row.l_all]
+
+    def test_given_location_labels_skip_the_sentinels(self, vocab, records, monkeypatch):
+        # a given-location row's labels keep their order; its sentinel slots count with label 0
+        from hlsdbg import training
+
+        seen = {}
+
+        def spy(logits, labels, mask, weights):
+            seen.update(labels=labels[0], mask=mask[0])
+            return loss_bug(logits, labels, mask, weights)
+
+        monkeypatch.setattr(training, "loss_bug", spy)
+        model = _tiny_model(vocab)
+        rec = records[0]
+        batch_losses(model, _build_batch(model, [_example(model, rec)], [True]), LossWeights())
+        lo, hi = label_span(rec)
+        assert seen["mask"].tolist() == [1.0] * (len(rec.token_labels) + 2)
+        assert seen["labels"][lo] == seen["labels"][hi + 1] == 0
+        assert np.delete(seen["labels"], [lo, hi + 1]).tolist() == rec.token_labels
 
     def test_training_run_is_pinned(self, vocab, records):
         # every curve row and every final parameter of a seeded f64 run, so a
