@@ -38,7 +38,8 @@ from .corpus import (
 from .errors import DataError, NumericError
 from .llmgen import HttpCompletionClient, StubCompletionClient, generate_via_llm
 from .metrics import evaluate, rank_lines, write_metrics_csv
-from .model import BUG_TYPE_ORDER, DebuggerModel, ModelConfig, Vocab, dataclass_from_meta, line_scores, suspect_span
+from .model import (BUG_TYPE_ORDER, FLAG_THRESHOLD, DebuggerModel, ModelConfig, Vocab, dataclass_from_meta,
+                    line_scores, suspect_span)
 from .mutate import GenerationReport, generate_corpus, span_bytes
 from .synth import make_corpus
 from .training import LossWeights, TrainConfig, parse_config_text, resume, train
@@ -119,12 +120,12 @@ def _cmd_ingest(args, argv) -> int:
         seed=None,
         counts={
             "files_seen": report.n_files,
-            "samples": report.n_accepted,
+            "samples": len(samples),
             "excluded": dict(report.excluded),
         },
         notes=list(report.warnings),
     )
-    print(f"ingest: {report.n_accepted} samples from {report.n_files} files -> {args.out}")
+    print(f"ingest: {len(samples)} samples from {report.n_files} files -> {args.out}")
     return 0
 
 
@@ -356,7 +357,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--records", required=True)
     p.add_argument("--given-location", action="store_true")
-    p.add_argument("--threshold", type=_probability, default=0.5)
+    p.add_argument("--threshold", type=_probability, default=FLAG_THRESHOLD)
     p.add_argument("--out-csv", default=None)
     p.set_defaults(fn=_cmd_eval)
 

@@ -39,8 +39,7 @@ class SampleRecord:
 
 @dataclass
 class IngestReport:
-    n_files: int = 0
-    n_accepted: int = 0
+    n_files: int
     excluded: Counter = field(default_factory=Counter)  # extension -> count
     warnings: list[str] = field(default_factory=list)
 
@@ -62,10 +61,9 @@ def ingest(
     if not root.exists():
         raise DataError(f"ingest root does not exist: {root}")
     files = sorted(p for p in root.rglob("*") if p.is_file())
-    report = IngestReport()
+    report = IngestReport(n_files=len(files))
     samples: list[SampleRecord] = []
     for path in files:
-        report.n_files += 1
         ext = path.suffix.lower()
         if ext not in SOURCE_EXTENSIONS:
             report.excluded[ext or "<none>"] += 1
@@ -86,7 +84,6 @@ def ingest(
                 report.warnings.append(f"empty sample skipped: {sid}")
                 continue
             samples.append(SampleRecord(id=sid, code=chunk, origin=origin))
-            report.n_accepted += 1
     if not samples:
         raise DataError(f"no samples ingested from {root}")
     return samples, report
@@ -352,7 +349,6 @@ def read_samples_jsonl(path: str | Path) -> list[SampleRecord]:
 class SplitResult:
     train: list[BugRecord]
     held_out: list[BugRecord]
-    warnings: list[str]
 
 
 def split(records: Sequence[BugRecord], ratio: float, seed: int) -> SplitResult:
@@ -365,33 +361,24 @@ def split(records: Sequence[BugRecord], ratio: float, seed: int) -> SplitResult:
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must be in (0, 1)")
     groups: dict[str, list[BugRecord]] = {}
-    order: list[str] = []
     for rec in records:
         if rec.correct_code not in groups:
             groups[rec.correct_code] = []
-            order.append(rec.correct_code)
         groups[rec.correct_code].append(rec)
 
     rng = random.Random(seed)
-    rng.shuffle(order)
+    buckets = list(groups.values())  # first-seen order, so a seed always picks the same split
+    rng.shuffle(buckets)
     target = ratio * len(records)
-    warnings: list[str] = []
     train: list[BugRecord] = []
     held_out: list[BugRecord] = []
-    for key in order:
-        bucket = groups[key]
-        if len(bucket) > target:
-            warnings.append(
-                f"group of {len(bucket)} records exceeds the train target {target:.1f}"
-            )
+    for bucket in buckets:
         if len(train) < target:
             train.extend(bucket)
         else:
             held_out.extend(bucket)
     # the first group always goes to train, so only held-out can be empty
-    if len(order) >= 2 and not held_out:
-        moved = groups[order[-1]]
-        train = train[: len(train) - len(moved)]
-        held_out = moved
-        warnings.append("moved one group to held-out to keep both sides non-empty")
-    return SplitResult(train=train, held_out=held_out, warnings=warnings)
+    if len(buckets) >= 2 and not held_out:
+        held_out = buckets[-1]
+        train = train[: len(train) - len(held_out)]
+    return SplitResult(train=train, held_out=held_out)

@@ -42,7 +42,7 @@ P_INSERT = (
     "Introduce one realistic logic bug by rewriting a short snippet.\n"
     f"{_CODE_OPEN}\n{{code}}\n{_CODE_CLOSE}\n"
     "Answer with exactly three lines:\n"
-    "TYPE: <one of OOB INIT SHFT INF USE MLU ZERO BUF>\n"
+    f"TYPE: <one of {' '.join(t.value for t in BugType)}>\n"
     "CORRECT: <the snippet as it appears in the kernel>\n"
     "BUGGY: <the rewritten snippet>\n"
 )
@@ -327,13 +327,10 @@ def generate_via_llm(
         record.strategy = _parse_tagged_line(strategy_text, "STRATEGY") or strategy_text.strip()
         return record, None, calls
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor  # here, not at module top, so other commands skip it
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, samples))
-    else:
-        results = [run_one(job) for job in samples]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(run_one, samples))
 
     for (sample_id, _), (record, reason, calls) in zip(samples, results):
         report.n_calls += calls

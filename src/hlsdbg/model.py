@@ -43,8 +43,10 @@ class Vocab:
     def __init__(self, tokens: Sequence[str]):
         if tuple(tokens[: len(self.SPECIALS)]) != self.SPECIALS:
             raise ValueError("vocabulary must start with the reserved specials")
-        if not all(isinstance(t, str) for t in tokens):
-            raise ValueError("vocabulary tokens must be strings")
+        try:  # a JSON escape such as "\ud800" decodes to a lone surrogate, which no output can encode
+            "".join(tokens).encode("utf-8")
+        except (TypeError, UnicodeEncodeError):
+            raise ValueError("vocabulary tokens must be strings of UTF-8 text") from None
         self.id_to_token: list[str] = list(tokens)
         self.token_to_id: dict[str, int] = {t: i for i, t in enumerate(self.id_to_token)}
         if len(self.token_to_id) != len(self.id_to_token):

@@ -310,8 +310,6 @@ def load_checkpoint(path: str | Path) -> TrainState:
     adam = AdamState(t=meta["adam_t"])
     for name, p in model.params.items():
         m, v = (tensors.get(f"adam.{which}.{name}") for which in ("m", "v"))
-        if m is None and v is None:
-            continue
         if m is None or v is None or m.shape != p.shape or v.shape != p.shape:
             raise DataError(f"checkpoint {path} has bad Adam moments for {name!r}")
         m, v = m.astype(p.dtype, copy=False), v.astype(p.dtype, copy=False)

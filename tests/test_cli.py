@@ -431,6 +431,17 @@ class TestNonFiniteWeights:
         assert "non-finite" in captured.err
 
 
+@pytest.mark.parametrize("with_out", [False, True], ids=["report", "out"])
+def test_vocabulary_token_of_lone_surrogate_is_rejected(tmp_path, model_path, with_out, capsys):
+    # the fixture's untrained decoder emits token 7 for this source, so the token reaches the printed snippet
+    _rewrite_header(model_path, lambda header: header["meta"].update(vocab=[*Vocab.SPECIALS, "\ud800", "x"]))
+    source = tmp_path / "kernel.c"
+    source.write_text("int x = 1;\n")
+    out = tmp_path / "fixed.c"
+    _assert_data_exit(["debug", source, "--model", model_path] + (["--out", out] if with_out else []), capsys)
+    assert not out.exists()
+
+
 def _assert_data_exit(argv, capsys):
     assert _run([str(a) for a in argv]) == 2
     err = capsys.readouterr().err
@@ -567,7 +578,7 @@ def checkpoint_path(tmp_path, records_path):
 
 
 class TestResumeChecks:
-    """A resume that adds no epoch, or a checkpoint with a malformed counter, RNG state or curve, is a data error."""
+    """A resume that adds no epoch, or a checkpoint with malformed metadata or Adam moments, is a data error."""
 
     @pytest.mark.parametrize("epochs", [None, "1", "0", "-3"])
     def test_epochs_must_exceed_checkpoint(self, tmp_path, records_path, checkpoint_path, epochs, capsys):
@@ -615,6 +626,18 @@ class TestResumeChecks:
             warnings.simplefilter("error")
             _assert_data_exit(["train", "--records", records_path, "--out-dir", run,
                                "--resume", checkpoint_path, "--epochs", "2"], capsys)
+        assert not (run / "model.bin").exists()
+
+    def test_missing_adam_moments(self, tmp_path, records_path, checkpoint_path, capsys):
+        # `train` writes both moments of every parameter, so a file without a pair is damaged
+        from hlsdbg.tensorstore import load_tensors, save_tensors
+
+        tensors, meta = load_tensors(checkpoint_path)
+        del tensors["adam.m.src_embed"], tensors["adam.v.src_embed"]
+        save_tensors(checkpoint_path, tensors, meta=meta)
+        run = tmp_path / "run"
+        _assert_data_exit(["train", "--records", records_path, "--out-dir", run,
+                           "--resume", checkpoint_path, "--epochs", "2"], capsys)
         assert not (run / "model.bin").exists()
 
 

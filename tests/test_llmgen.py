@@ -220,7 +220,20 @@ class TestGenerateViaLlm:
         samples = make_corpus(5, seed=3)
         a = generate_via_llm(samples, StubCompletionClient(seed=0), threads=1)
         b = generate_via_llm(samples, StubCompletionClient(seed=0), threads=4)
-        assert a.records == b.records
+        assert (a.records, a.skipped, a.n_calls) == (b.records, b.skipped, b.n_calls)
+
+    def test_client_error_stops_the_run(self):
+        # the executor cancels the samples not yet started, so a dead endpoint costs one sample's calls
+        prompts = []
+
+        class DownClient:
+            def complete(self, prompt):
+                prompts.append(prompt)
+                raise DataError("endpoint down")
+
+        with pytest.raises(DataError, match="endpoint down"):
+            generate_via_llm(make_corpus(10, seed=0), DownClient(), threads=1)
+        assert len(prompts) == 1
 
     def test_sample_without_sites_is_skipped(self):
         client = StubCompletionClient(seed=0)
