@@ -5,10 +5,18 @@ in reverse, accumulating gradients into the leaves. Only what the debugger
 model needs is implemented, each primitive with an explicit closed-form
 backward. dtype is preserved end to end and mixing f32/f64 is an error, so
 float64 runs stay bit-reproducible.
+
+A tape owns only what backward reads. Each node holds the never-reused key of
+its output, its inputs' keys (or, for a leaf, the leaf itself) and a closure;
+a closure holds only the arrays and shapes its backward reads, so an output no
+backward reads is freed as soon as the caller drops it. `backward` uses up the
+tape: it drops each closure as it passes, freeing activations on the way back
+to the inputs, and a second `backward` on the same tape is an error.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -18,15 +26,17 @@ import numpy as np
 from .errors import NumericError
 
 _TAPE_STACK: list["Tape"] = []
+_KEYS = itertools.count()  # keys, not `id()`s: an id is reused once its output dies
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "key")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
+        self.key: int | None = None  # set when a tape records this tensor as an output
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -45,14 +55,15 @@ class Tensor:
 
 @dataclass
 class _Node:
-    out: Tensor
-    inputs: tuple[Tensor, ...]
-    bwd: Callable[[np.ndarray], tuple[np.ndarray | None, ...]]
+    out: int
+    inputs: tuple[int | Tensor, ...]  # the key of an input this tape made, else the leaf itself
+    bwd: Callable[[np.ndarray], tuple[np.ndarray | None, ...]] | None  # None once backward has passed
 
 
 @dataclass
 class Tape:
     nodes: list[_Node] = field(default_factory=list)
+    made: set[int] = field(default_factory=set)
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -71,7 +82,9 @@ def _record(out: Tensor, inputs: Sequence[Tensor], bwd) -> Tensor:
     tape = _active_tape()
     if tape is not None and any(i.requires_grad for i in inputs):
         out.requires_grad = True
-        tape.nodes.append(_Node(out, tuple(inputs), bwd))
+        out.key = next(_KEYS)
+        tape.made.add(out.key)
+        tape.nodes.append(_Node(out.key, tuple(i.key if i.key in tape.made else i for i in inputs), bwd))
     return out
 
 
@@ -95,22 +108,26 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into each leaf's `.grad`."""
+    """Accumulate d(loss)/d(leaf) into each leaf's `.grad`, using up `tape`.
+
+    Each node's closure is dropped as the pass reaches it, so the tape keeps
+    its nodes but can run backward only once.
+    """
     if loss.data.size != 1:
         raise ValueError("backward expects a scalar loss")
-    produced = {id(node.out) for node in tape.nodes}
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    if tape.nodes and tape.nodes[-1].bwd is None:
+        raise ValueError("backward already ran on this tape")
+    grads: dict[int | None, np.ndarray] = {loss.key: np.ones_like(loss.data)}
     for node in reversed(tape.nodes):
-        g = grads.pop(id(node.out), None)
+        bwd, node.bwd = node.bwd, None
+        g = grads.pop(node.out, None)
         if g is None:
             continue
-        input_grads = node.bwd(g)
-        for inp, gi in zip(node.inputs, input_grads):
+        for inp, gi in zip(node.inputs, bwd(g)):
             if gi is None:
                 continue
-            if id(inp) in produced:
-                key = id(inp)
-                grads[key] = grads[key] + gi if key in grads else gi
+            if not isinstance(inp, Tensor):
+                grads[inp] = grads[inp] + gi if inp in grads else gi
             elif inp.requires_grad:
                 inp.grad = gi if inp.grad is None else inp.grad + gi
 
@@ -121,7 +138,8 @@ def backward(tape: Tape, loss: Tensor) -> None:
 def add(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a)
     out = Tensor(a.data + b.data)
-    return _record(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+    sa, sb = a.shape, b.shape
+    return _record(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def scale(a: Tensor, s: float) -> Tensor:
@@ -175,9 +193,10 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     if len(dtypes) > 1:
         raise ValueError(f"dtype mismatch in concat: {dtypes}")
     out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
+    sizes = [p.shape[axis] for p in parts]
 
     def bwd(g):
-        return tuple(np.split(g, np.cumsum([p.shape[axis] for p in parts])[:-1], axis=axis))
+        return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
 
     return _record(out, tuple(parts), bwd)
 
@@ -189,9 +208,10 @@ def slice_(a: Tensor, key) -> Tensor:
     assigns the gradient into zeros rather than accumulating it.
     """
     out = Tensor(a.data[key])
+    shape, dtype = a.shape, a.dtype
 
     def bwd(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape, dtype)
         full[key] = g
         return (full,)
 

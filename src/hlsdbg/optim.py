@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,28 +23,58 @@ class AdamState:
     t: int = 0
 
 
+def _owner(g: np.ndarray) -> np.ndarray:
+    return g if g.base is None else g.base
+
+
 def clip_global_norm(params: dict[str, Tensor], max_norm: float) -> float:
-    """Scale all gradients so their joint L2 norm is at most `max_norm`."""
+    """Scale all gradients so their joint L2 norm is at most `max_norm`.
+
+    A gradient is scaled in place unless its memory is shared with another
+    parameter's (`backward` can hand two leaves one array, or views of one):
+    those get scaled copies, so no memory is scaled twice.
+    """
+    grads = [p for p in params.values() if p.grad is not None]
     total = 0.0
-    for p in params.values():
-        g = p.grad
-        if g is not None:
-            # `vdot` squares and sums without a temporary; f32 is upcast to sum in f64
-            g = g if g.dtype == np.float64 else g.astype(np.float64)
-            total += float(np.vdot(g, g))
+    for p in grads:
+        # `vdot` squares and sums without a temporary; f32 is upcast to sum in f64
+        g = p.grad if p.grad.dtype == np.float64 else p.grad.astype(np.float64)
+        total += float(np.vdot(g, g))
     norm = float(np.sqrt(total))
     if max_norm > 0 and norm > max_norm:
         factor = max_norm / norm
-        for p in params.values():
-            if p.grad is not None:
+        owners = Counter(id(_owner(p.grad)) for p in grads)
+        for p in grads:
+            if owners[id(_owner(p.grad))] > 1:
+                p.grad = p.grad * p.grad.dtype.type(factor)
+            else:
                 p.grad *= p.grad.dtype.type(factor)
     return norm
+
+
+def _add_moments(params: dict[str, Tensor], state: AdamState) -> None:
+    """Zero moments for each parameter with its first gradient, as views into one block per dtype.
+
+    A model-sized block is past malloc's mmap threshold, so it is mapped and
+    returned whole rather than scattered through the heap that the
+    activations churn.
+    """
+    new = [(name, p.data) for name, p in params.items() if p.grad is not None and name not in state.m]
+    for dt in {data.dtype for _, data in new}:
+        group = [(name, data) for name, data in new if data.dtype == dt]
+        for moments in (state.m, state.v):
+            block = np.zeros(sum(data.size for _, data in group), dt)
+            at = 0
+            for name, data in group:
+                moments[name] = block[at : at + data.size].reshape(data.shape)
+                at += data.size
 
 
 def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update; parameters without grads are skipped."""
     state.t += 1
     t = state.t
+    _add_moments(params, state)
     for name, p in params.items():
         if p.grad is None:
             continue
@@ -51,9 +82,6 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient for parameter {name!r}")
         dt = p.data.dtype
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
         m = state.m[name]
         v = state.v[name]
         m *= dt.type(BETA1)

@@ -1,5 +1,6 @@
 import json
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -169,6 +170,62 @@ class TestBackward:
             ad.check_finite(_t([np.inf]), "logits")
 
 
+class TestTapeOwnership:
+    """A tape keeps only what backward reads, and backward uses it up."""
+
+    def test_output_no_backward_reads_is_freed_after_forward(self):
+        # layer_norm's backward reads its own output and scale, never its input
+        x, y = _rand((2, 3), 60), _rand((2, 3), 61)
+        with Tape() as tape:
+            h = ad.add(x, y)
+            held = weakref.ref(h.data)
+            loss = weighted_sum(ad.layer_norm(h), 1.0)
+            del h
+        assert held() is None
+        backward(tape, loss)
+        assert x.grad.shape == (2, 3) and y.grad.shape == (2, 3)
+
+    def test_closure_arrays_are_freed_by_backward(self):
+        x = _rand((2, 3), 62)
+        with Tape() as tape:
+            s = ad.softmax(x)
+            probs = weakref.ref(s.data)  # softmax's backward reads its output
+            loss = weighted_sum(ad.gelu(s), np.arange(6.0).reshape(2, 3))
+            del s
+        assert probs() is not None
+        backward(tape, loss)
+        assert probs() is None
+        assert all(node.bwd is None for node in tape.nodes)
+
+    def test_tensor_from_another_tape_is_a_leaf(self):
+        x = _t([1.0, 2.0])
+        with Tape():
+            h = ad.scale(x, 3.0)
+        with Tape() as tape:
+            loss = weighted_sum(h, [1.0, 2.0])
+        backward(tape, loss)
+        assert np.array_equal(h.grad, [1.0, 2.0])
+        assert x.grad is None
+
+    def test_backward_keeps_the_node_count(self):
+        # perfbench reads `len(tape.nodes)` after `backward` returns
+        x = _rand((2, 3), 63)
+        with Tape() as tape:
+            loss = weighted_sum(ad.layer_norm(ad.scale(x, 2.0)), 1.0)
+        n = len(tape.nodes)
+        backward(tape, loss)
+        assert len(tape.nodes) == n == 5
+
+    def test_second_backward_is_rejected(self):
+        x = _t([1.0, 2.0])
+        with Tape() as tape:
+            loss = weighted_sum(x, 1.0)
+        backward(tape, loss)
+        with pytest.raises(ValueError, match="already ran"):
+            backward(tape, loss)
+        assert np.array_equal(x.grad, [1.0, 1.0])
+
+
 # --- finite-difference checks ---------------------------------------------------
 
 
@@ -325,6 +382,18 @@ class TestAdam:
             ref -= 0.01 * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
         assert np.allclose(p.data[0], ref)
 
+    def test_moments_are_views_into_one_block_per_dtype(self):
+        a, b, c = _t([0.0, 0.0]), _t([[0.0], [0.0]]), _t([0.0])
+        a.grad, b.grad = np.array([1.0, 2.0]), np.array([[3.0], [4.0]])
+        state = AdamState()
+        adam_step({"a": a, "b": b, "c": c}, state, lr=0.1)
+        assert "c" not in state.m
+        assert state.m["a"].base is state.m["b"].base and state.m["b"].shape == (2, 1)
+        assert state.v["a"].base is state.v["b"].base is not state.m["a"].base
+        c.grad = np.array([5.0])
+        adam_step({"a": a, "b": b, "c": c}, state, lr=0.1)
+        assert state.m["c"].shape == (1,) and np.allclose(state.m["c"], 0.5)
+
     def test_state_dtype_follows_param(self):
         p = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
         p.grad = np.ones(2, dtype=np.float32)
@@ -342,6 +411,25 @@ class TestClip:
         assert norm == pytest.approx(5.0)
         assert np.allclose(a.grad, [0.6])
         assert np.allclose(b.grad, [0.8])
+
+    @pytest.mark.parametrize("b_shape", [(3,), (1, 3)], ids=["same_array", "view"])
+    def test_shared_gradient_memory_is_scaled_once(self, b_shape):
+        # `add` hands both leaves its gradient array; `reshape` hands `b` a view of it
+        a, b = _t(np.zeros(3)), _t(np.zeros(b_shape))
+        with Tape() as tape:
+            loss = ad.binary_cross_entropy(ad.add(a, ad.reshape(b, (3,))), np.ones(3), np.ones(3))
+        backward(tape, loss)
+        assert np.shares_memory(a.grad, b.grad)
+        clip_global_norm({"a": a, "b": b}, max_norm=0.1)
+        assert np.sqrt(np.vdot(a.grad, a.grad) + np.vdot(b.grad, b.grad)) == pytest.approx(0.1)
+        assert np.array_equal(a.grad, b.grad.reshape(3))
+
+    def test_unshared_gradients_are_scaled_in_place(self):
+        a, b = _t([3.0]), _t([4.0])
+        a.grad, b.grad = np.array([3.0]), np.array([4.0])
+        ga = a.grad
+        clip_global_norm({"a": a, "b": b}, max_norm=1.0)
+        assert a.grad is ga and np.allclose(ga, [0.6])
 
     def test_no_scaling_under_limit(self):
         a = _t([1.0])
