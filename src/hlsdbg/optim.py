@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,41 +22,36 @@ class AdamState:
     t: int = 0
 
 
-def _owner(g: np.ndarray) -> np.ndarray:
-    return g if g.base is None else g.base
-
-
 def clip_global_norm(params: dict[str, Tensor], max_norm: float) -> float:
     """Scale all gradients so their joint L2 norm is at most `max_norm`.
 
-    A gradient is scaled in place unless its memory is shared with another
-    parameter's (`backward` can hand two leaves one array, or views of one):
-    those get scaled copies, so no memory is scaled twice.
+    Each gradient is replaced by a scaled copy, never scaled in place:
+    `backward` can hand two leaves one array, or views of one.
     """
-    grads = [p for p in params.values() if p.grad is not None]
     total = 0.0
-    for p in grads:
-        # `vdot` squares and sums without a temporary; f32 is upcast to sum in f64
-        g = p.grad if p.grad.dtype == np.float64 else p.grad.astype(np.float64)
-        total += float(np.vdot(g, g))
+    for p in params.values():
+        g = p.grad
+        if g is not None:
+            # `vdot` squares and sums without a temporary; f32 is upcast to sum in f64
+            g = g if g.dtype == np.float64 else g.astype(np.float64)
+            total += float(np.vdot(g, g))
     norm = float(np.sqrt(total))
     if max_norm > 0 and norm > max_norm:
         factor = max_norm / norm
-        owners = Counter(id(_owner(p.grad)) for p in grads)
-        for p in grads:
-            if owners[id(_owner(p.grad))] > 1:
+        for p in params.values():
+            if p.grad is not None:
                 p.grad = p.grad * p.grad.dtype.type(factor)
-            else:
-                p.grad *= p.grad.dtype.type(factor)
     return norm
 
 
 def _add_moments(params: dict[str, Tensor], state: AdamState) -> None:
     """Zero moments for each parameter with its first gradient, as views into one block per dtype.
 
-    A model-sized block is past malloc's mmap threshold, so it is mapped and
-    returned whole rather than scattered through the heap that the
-    activations churn.
+    A block past glibc's mmap threshold is mapped and returned whole rather
+    than scattered through the heap that the activations churn. The threshold
+    rises as large mapped chunks are freed, up to 32 MiB on 64-bit, so only a
+    block above 32 MiB (one dtype's parameters) is sure to be mapped; a
+    smaller one may land in the heap, as separate moments did.
     """
     new = [(name, p.data) for name, p in params.items() if p.grad is not None and name not in state.m]
     for dt in {data.dtype for _, data in new}:
