@@ -388,7 +388,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args, argv)
+        # a non-finite result is reported as a DataError or NumericError where it is found, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args, argv)
     except DataError as exc:
         print(f"hlsdbg: data error: {exc}", file=sys.stderr)
         return DATA_EXIT

@@ -13,7 +13,7 @@ import json
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -192,51 +192,34 @@ def dedup(
 
 # --- JSONL serialization ----------------------------------------------------------
 
-_REQUIRED_FIELDS = (
-    "id",
-    "correct_code",
-    "buggy_code",
-    "snippet_correct",
-    "snippet_buggy",
-    "bug_type",
-    "buggy_byte_span",
-    "token_labels",
-    "line_labels",
-)
-_TEXT_FIELDS = ("id", "correct_code", "buggy_code", "snippet_correct", "snippet_buggy")
-_OPTIONAL_FIELDS = ("function_note", "bug_analysis", "strategy")
+# the schema is BugRecord's: its fields in declaration order, those without a default, and the text ones
+_FIELDS = fields(BugRecord)
+_REQUIRED = tuple(f.name for f in _FIELDS if f.default is MISSING)
+_TEXT = tuple(f.name for f in _FIELDS if f.type in ("str", "str | None"))
+
+
+def _jsonable(value):
+    """A field's JSON form: a bug type by its value, a set sorted, a tuple or list as a new list."""
+    if isinstance(value, BugType):
+        return value.value
+    if isinstance(value, set):
+        return sorted(value)
+    return list(value) if isinstance(value, (tuple, list)) else value
 
 
 def record_to_dict(record: BugRecord) -> dict:
-    out: dict = {
-        "id": record.id,
-        "correct_code": record.correct_code,
-        "buggy_code": record.buggy_code,
-        "snippet_correct": record.snippet_correct,
-        "snippet_buggy": record.snippet_buggy,
-        "bug_type": record.bug_type.value,
-        "buggy_byte_span": list(record.buggy_byte_span),
-        "token_labels": list(record.token_labels),
-        "line_labels": sorted(record.line_labels),
-    }
-    for name in _OPTIONAL_FIELDS:
-        value = getattr(record, name)
-        if value is not None:
-            out[name] = value
-    for key in sorted(record.extra):
-        if key not in out:
-            out[key] = record.extra[key]
-    return out
+    """The JSONL object of a record: its fields in declaration order, without the absent notes."""
+    return {f.name: _jsonable(value) for f in _FIELDS if (value := getattr(record, f.name)) is not None}
 
 
 def record_from_dict(payload: dict, lineno: int = 0) -> BugRecord:
-    """The record a JSONL object holds.
+    """The record a JSONL object holds; keys that name no field are ignored.
 
     A JsonlError unless its fields are well typed, it passes `check_record`
     and its correct code lexes too.
     """
-    notes = tuple(name for name in _OPTIONAL_FIELDS if payload.get(name) is not None)
-    _check_fields(payload, _REQUIRED_FIELDS, _TEXT_FIELDS + notes, lineno)
+    text = [name for name in _TEXT if name in _REQUIRED or payload.get(name) is not None]
+    _check_fields(payload, _REQUIRED, text, lineno)
     try:
         bug_type = BugType(payload["bug_type"])
     except ValueError:
@@ -250,22 +233,10 @@ def record_from_dict(payload: dict, lineno: int = 0) -> BugRecord:
     lines = payload["line_labels"]
     if not (isinstance(lines, list) and all(type(v) is int for v in lines)):
         raise JsonlError("line_labels must be a list of ints", lineno)
-    known = set(_REQUIRED_FIELDS) | set(_OPTIONAL_FIELDS)
-    record = BugRecord(
-        id=payload["id"],
-        correct_code=payload["correct_code"],
-        buggy_code=payload["buggy_code"],
-        snippet_correct=payload["snippet_correct"],
-        snippet_buggy=payload["snippet_buggy"],
-        bug_type=bug_type,
-        buggy_byte_span=(span[0], span[1]),
-        token_labels=list(labels),
-        line_labels=set(lines),
-        function_note=payload.get("function_note"),
-        bug_analysis=payload.get("bug_analysis"),
-        strategy=payload.get("strategy"),
-        extra={k: v for k, v in payload.items() if k not in known},
-    )
+    record = BugRecord(**{f.name: payload.get(f.name) for f in _FIELDS} | {
+        "bug_type": bug_type, "buggy_byte_span": (span[0], span[1]), "token_labels": list(labels),
+        "line_labels": set(lines),
+    })
     try:
         stream = lex(record.buggy_code)
     except LexError as exc:

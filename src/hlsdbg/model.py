@@ -86,7 +86,6 @@ class ModelConfig:
     max_src_len: int = 512
     max_tgt_len: int = 64
     head_mlp_layers: int = 3
-    n_bug_types: int = len(BUG_TYPE_ORDER)
     dtype: str = "f32"
 
     def __post_init__(self) -> None:
@@ -102,9 +101,6 @@ class ModelConfig:
             raise ValueError("vocab_size smaller than the reserved specials")
         if self.dtype not in ("f32", "f64"):
             raise ValueError("dtype must be 'f32' or 'f64'")
-        # kept as a field so that existing model files load; the type head has one logit per bug type
-        if self.n_bug_types != len(BUG_TYPE_ORDER):
-            raise ValueError(f"n_bug_types must be {len(BUG_TYPE_ORDER)}, one per bug type")
 
     @property
     def np_dtype(self):
@@ -124,7 +120,7 @@ class EncoderOutput:
 @dataclass
 class RecordPrediction:
     token_probs: np.ndarray   # aligned with the lexed buggy tokens (may be truncated)
-    type_logits: np.ndarray   # (n_bug_types,)
+    type_logits: np.ndarray   # (len(BugType),)
     generated_text: str
     generated_ids: list[int]
     truncated: bool
@@ -161,7 +157,7 @@ def param_spec(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], float]]:
         add(f"dec{i}.b1", (f,), std=0.0)
         add(f"dec{i}.w2", (f, d))
         add(f"dec{i}.b2", (d,), std=0.0)
-    for head, width in (("head_bug", 1), ("head_type", cfg.n_bug_types)):
+    for head, width in (("head_bug", 1), ("head_type", len(BugType))):
         for j in range(cfg.head_mlp_layers - 1):
             add(f"{head}.w{j}", (d, d))
             add(f"{head}.b{j}", (d,), std=0.0)
@@ -298,7 +294,7 @@ class DebuggerModel:
         return ad.reshape(out, out.shape[:-1])
 
     def type_logits(self, enc: EncoderOutput) -> Tensor:
-        """(B, n_bug_types) from the pooled slot."""
+        """(B, len(BugType)) from the pooled slot."""
         return self._head(enc.e_cls, "head_type")
 
     # --- decoder --------------------------------------------------------------------
@@ -401,14 +397,13 @@ class DebuggerModel:
         logits (weights that are NaN, inf or overflow) raise DataError.
         """
         stream = lex(code)
-        with np.errstate(over="ignore", invalid="ignore"):
-            enc = self.encode_ids([self.vocab.encode(stream.texts())], [span])
-            bug_row = _finite(self.bug_logits(enc).data[0].astype(np.float64), "bug scores")
-            token_probs = (1.0 / (1.0 + np.exp(-bug_row)))[enc.is_token[0]]
-            type_row = _finite(self.type_logits(enc).data[0].astype(np.float64), "type scores")
-            n_flagged = span[1] - span[0] if span is not None else int(np.sum(token_probs >= threshold))
-            budget = min(3 * max(1, n_flagged) + 2, self.config.max_tgt_len)
-            gen_ids = self.generate(enc, max_len=budget)
+        enc = self.encode_ids([self.vocab.encode(stream.texts())], [span])
+        bug_row = _finite(self.bug_logits(enc).data[0].astype(np.float64), "bug scores")
+        token_probs = (1.0 / (1.0 + np.exp(-bug_row)))[enc.is_token[0]]
+        type_row = _finite(self.type_logits(enc).data[0].astype(np.float64), "type scores")
+        n_flagged = span[1] - span[0] if span is not None else int(np.sum(token_probs >= threshold))
+        budget = min(3 * max(1, n_flagged) + 2, self.config.max_tgt_len)
+        gen_ids = self.generate(enc, max_len=budget)
         return RecordPrediction(
             token_probs=token_probs,
             type_logits=type_row,

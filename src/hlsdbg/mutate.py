@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import accumulate, repeat
 from typing import Iterable, Sequence
 
@@ -52,6 +52,8 @@ class MutationSite:
 
 @dataclass
 class BugRecord:
+    """One labelled record of the dataset; its fields, in order, are the JSONL schema."""
+
     id: str
     correct_code: str
     buggy_code: str
@@ -64,7 +66,6 @@ class BugRecord:
     function_note: str | None = None
     bug_analysis: str | None = None
     strategy: str | None = None
-    extra: dict = field(default_factory=dict)
 
 
 # --- the structural scan ------------------------------------------------------

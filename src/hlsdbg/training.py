@@ -256,8 +256,7 @@ class TrainState:
     rng: random.Random
     adam: AdamState = field(default_factory=AdamState)
     epoch: int = 0  # the next epoch to run
-    step: int = 0  # optimizer steps taken
-    curve: list[CurveRow] = field(default_factory=list)  # one row per step taken, in order
+    curve: list[CurveRow] = field(default_factory=list)  # one row per optimizer step taken, in order
 
 
 def write_curve_csv(path: str | Path, rows: Sequence[CurveRow]) -> None:
@@ -289,9 +288,8 @@ def save_checkpoint(path: str | Path, state: TrainState) -> None:
     state.model.save(path, moments, {
         "train_config": asdict(state.cfg),
         "loss_weights": asdict(state.weights),
-        "adam_t": state.adam.t,
         "next_epoch": state.epoch,
-        "step": state.step,
+        "step": len(state.curve),
         "curve": [list(astuple(row)) for row in state.curve],
         "rng_state": json.loads(json.dumps(state.rng.getstate())),
     })
@@ -299,15 +297,14 @@ def save_checkpoint(path: str | Path, state: TrainState) -> None:
 
 def load_checkpoint(path: str | Path) -> TrainState:
     tensors, meta = load_tensors(path)
-    for key in ("config", "vocab", "train_config", "loss_weights", "adam_t", "next_epoch", "step", "curve",
-                "rng_state"):
+    for key in ("config", "vocab", "train_config", "loss_weights", "next_epoch", "step", "curve", "rng_state"):
         if key not in meta:
             raise DataError(f"checkpoint {path} lacks {key!r}")
-    for key in ("adam_t", "next_epoch", "step"):
+    for key in ("next_epoch", "step"):
         if type(meta[key]) is not int or meta[key] < 0:
             raise DataError(f"checkpoint {path} has {key} = {meta[key]!r}, not a non-negative int")
     model = DebuggerModel.restore(meta, tensors, path)
-    adam = AdamState(t=meta["adam_t"])
+    adam = AdamState(t=meta["step"])  # one Adam update per step
     for name, p in model.params.items():
         m, v = (tensors.get(f"adam.{which}.{name}") for which in ("m", "v"))
         if m is None or v is None or m.shape != p.shape or v.shape != p.shape:
@@ -325,8 +322,8 @@ def load_checkpoint(path: str | Path) -> TrainState:
         raise DataError(f"checkpoint {path} has a malformed rng_state") from None
     cfg = dataclass_from_meta(TrainConfig, meta["train_config"], "train config", path)
     weights = dataclass_from_meta(LossWeights, meta["loss_weights"], "loss weights", path)
-    return TrainState(model, cfg, weights, rng, adam, meta["next_epoch"], meta["step"],
-                      _curve_from_meta(meta["curve"], meta["step"], path))
+    curve = _curve_from_meta(meta["curve"], meta["step"], path)
+    return TrainState(model, cfg, weights, rng, adam, meta["next_epoch"], curve)
 
 
 def _curve_from_meta(rows, step: int, path: str | Path) -> list[CurveRow]:
@@ -402,10 +399,9 @@ def _run(state: TrainState, records: Sequence[BugRecord], out_dir: str | Path | 
             adam_step(model.params, state.adam, lr_at(cfg, epoch))
             for p in model.params.values():
                 p.zero_grad()
-            state.step += 1
-            state.curve.append(
-                CurveRow(state.step, float(l_t.data), float(l_b.data), float(l_d.data), float(combined.data))
-            )
+            state.curve.append(CurveRow(
+                len(state.curve) + 1, float(l_t.data), float(l_b.data), float(l_d.data), float(combined.data)
+            ))
         state.epoch = epoch + 1
         if out_path is not None and cfg.checkpoint_every > 0 and state.epoch % cfg.checkpoint_every == 0:
             save_checkpoint(out_path / f"checkpoint_{state.epoch:05d}.bin", state)
@@ -426,10 +422,9 @@ def parse_config_text(text: str) -> tuple[dict, dict, dict]:
     else must be a TrainConfig field. `#` starts a comment. Only a line feed
     ends a line, as in the lexer.
     """
-    # prefix -> (the name errors give, its fields, its values), the empty prefix last; the data fixes
-    # vocab_size and n_bug_types
+    # prefix -> (the name errors give, its fields, its values), the empty prefix last; the data fixes vocab_size
     routes = {
-        "model.": ("model", set(ModelConfig.__dataclass_fields__) - {"vocab_size", "n_bug_types"}, {}),
+        "model.": ("model", set(ModelConfig.__dataclass_fields__) - {"vocab_size"}, {}),
         "loss.": ("loss", set(LossWeights.__dataclass_fields__), {}),
         "": ("train", set(TrainConfig.__dataclass_fields__), {}),
     }

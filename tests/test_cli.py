@@ -590,7 +590,7 @@ class TestResumeChecks:
 
     @pytest.mark.parametrize("key, value", [
         ("rng_state", 5), ("rng_state", [3, [1, 2], None]), ("rng_state", "abc"),
-        ("step", "x"), ("step", -1), ("next_epoch", 1.5), ("adam_t", None), ("adam_t", True),
+        ("step", "x"), ("step", -1), ("next_epoch", 1.5), ("next_epoch", None), ("step", True),
         # the checkpoint holds one step, so its curve must be one row `[1, four finite floats]`
         ("curve", None), ("curve", "abc"), ("curve", []), ("curve", [[1, 0.5, 0.5, 0.5]]),
         ("curve", [[2, 0.5, 0.5, 0.5, 0.5]]), ("curve", [[True, 0.5, 0.5, 0.5, 0.5]]),
@@ -627,6 +627,20 @@ class TestResumeChecks:
             _assert_data_exit(["train", "--records", records_path, "--out-dir", run,
                                "--resume", checkpoint_path, "--epochs", "2"], capsys)
         assert not (run / "model.bin").exists()
+
+    def test_overflowing_weights_warn_nothing(self, tmp_path, records_path, checkpoint_path, capsys):
+        # the encoder's layer norm overflows on these weights, and the run goes on: no raw numpy warning
+        from hlsdbg.tensorstore import load_tensors, save_tensors
+
+        tensors, meta = load_tensors(checkpoint_path)
+        tensors["src_embed"] = tensors["src_embed"] * 1e200
+        save_tensors(checkpoint_path, tensors, meta=meta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = _run([str(a) for a in ["train", "--records", records_path, "--out-dir", tmp_path / "run",
+                                          "--resume", checkpoint_path, "--epochs", "2"]])
+        assert code == 0
+        assert capsys.readouterr().err == ""
 
     def test_missing_adam_moments(self, tmp_path, records_path, checkpoint_path, capsys):
         # `train` writes both moments of every parameter, so a file without a pair is damaged
@@ -670,16 +684,21 @@ def test_model_file_with_other_bug_type_count_is_rejected(tmp_path, request, mod
                                                           capsys):
     from hlsdbg.tensorstore import load_tensors, save_tensors
 
-    # a file saved as if `n_bug_types` were `n`, the type head's output shapes included
+    # files written while `ModelConfig` had an `n_bug_types` field name it in their config
     path = request.getfixturevalue("checkpoint_path") if command == "resume" else model_path
+    _rewrite_header(path, lambda header: header["meta"]["config"].update(n_bug_types=n))
+    err = _load_model_file(command, path, tmp_path, records_path, capsys)
+    assert "unknown model config keys" in err and "'n_bug_types'" in err
+    # a type head `n` logits wide, not one per bug type
+    _rewrite_header(path, lambda header: header["meta"]["config"].pop("n_bug_types"))
     tensors, meta = load_tensors(path)
     last = meta["config"]["head_mlp_layers"] - 1
     for name in tensors:
         if name.endswith((f"head_type.w{last}", f"head_type.b{last}")):
             tensors[name] = tensors[name][..., :n]
-    meta["config"]["n_bug_types"] = n
     save_tensors(path, tensors, meta=meta)
-    assert "n_bug_types must be 8" in _load_model_file(command, path, tmp_path, records_path, capsys)
+    err = _load_model_file(command, path, tmp_path, records_path, capsys)
+    assert f"shape mismatch for 'head_type.w{last}'" in err
 
 
 class TestResumeFlags:
@@ -914,7 +933,8 @@ json_value = st.recursive(
     lambda kids: st.lists(kids, max_size=3) | st.dictionaries(_plain_text, kids, max_size=3),
     max_leaves=6,
 )
-_RECORD_KEYS = sorted(record_to_dict(_FUZZ_RECORDS[0])) + ["function_note", "bug_analysis", "strategy", "extra"]
+# the notes, absent from injected records, and a key that names no field
+_RECORD_KEYS = sorted(record_to_dict(_FUZZ_RECORDS[0])) + ["function_note", "bug_analysis", "strategy", "provenance"]
 _REMOVE = object()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import shlex
@@ -26,7 +27,7 @@ from hlsdbg.corpus import (
     write_samples_jsonl,
 )
 from hlsdbg.errors import DataError, JsonlError
-from hlsdbg.mutate import generate_corpus
+from hlsdbg.mutate import BugRecord, generate_corpus
 from hlsdbg.synth import make_corpus
 
 
@@ -329,12 +330,19 @@ class TestJsonl:
         assert err.value.lineno == 2
         assert str(err.value).startswith("line 2: ") and fragment in str(err.value)
 
-    def test_unknown_fields_survive_round_trip(self, small_records, tmp_path):
+    def test_unknown_key_is_ignored(self, small_records):
         payload = record_to_dict(small_records[0])
-        payload["provenance"] = {"crawler": "v2"}
-        rec = record_from_dict(payload, 1)
-        assert rec.extra == {"provenance": {"crawler": "v2"}}
-        assert record_to_dict(rec)["provenance"] == {"crawler": "v2"}
+        rec = record_from_dict({**payload, "provenance": {"crawler": "v2"}}, 1)
+        assert rec == small_records[0]
+        assert record_to_dict(rec) == payload
+
+    def test_keys_are_the_record_fields_in_order(self, small_records):
+        names = [f.name for f in dataclasses.fields(BugRecord)]
+        assert names[-3:] == ["function_note", "bug_analysis", "strategy"]
+        bare = dataclasses.replace(small_records[0], function_note=None, bug_analysis=None, strategy=None)
+        assert list(record_to_dict(bare)) == names[:-3]  # absent notes are left out
+        rec = dataclasses.replace(bare, bug_analysis="reads past the window")
+        assert list(record_to_dict(rec)) == names[:-3] + ["bug_analysis"]
 
     def test_optional_fields_round_trip(self, small_records, tmp_path):
         rec = small_records[0]

@@ -45,7 +45,7 @@ def expected_param_count(cfg: ModelConfig) -> int:
     enc = cfg.n_layers_enc * (4 * d * d + 2 * d * f + f + d)
     dec = cfg.n_layers_dec * (8 * d * d + 2 * d * f + f + d)
     hidden = (cfg.head_mlp_layers - 1) * (d * d + d)
-    heads = 2 * hidden + (d * 1 + 1) + (d * cfg.n_bug_types + cfg.n_bug_types)
+    heads = 2 * hidden + (d * 1 + 1) + (d * len(BugType) + len(BugType))
     out = d * v + v
     return embed + enc + dec + heads + out
 
@@ -212,7 +212,7 @@ class TestParameters:
             draw(f"dec{i}.b1", (f,), 0.0)
             draw(f"dec{i}.w2", (f, d))
             draw(f"dec{i}.b2", (d,), 0.0)
-        for head, width in (("head_bug", 1), ("head_type", cfg.n_bug_types)):
+        for head, width in (("head_bug", 1), ("head_type", len(BugType))):
             for j in range(cfg.head_mlp_layers - 1):
                 draw(f"{head}.w{j}", (d, d))
                 draw(f"{head}.b{j}", (d,), 0.0)

@@ -398,15 +398,29 @@ class TestTrain:
         for k in model_full.params:
             assert np.array_equal(model_full.params[k].data, resumed_model.params[k].data)
 
+    def test_adam_t_in_checkpoint_is_ignored(self, vocab, records, tmp_path):
+        # checkpoints once carried Adam's step count as `adam_t`; a resume takes it from `step`
+        from hlsdbg.tensorstore import load_tensors, save_tensors
+
+        cfg = TrainConfig(epochs=2, batch_size=2, lr=1e-3, seed=13, checkpoint_every=1)
+        model = _tiny_model(vocab, seed=8)
+        full = train(model, records[:4], cfg, out_dir=tmp_path)
+        ckpt = tmp_path / "checkpoint_00001.bin"
+        tensors, meta = load_tensors(ckpt)
+        save_tensors(ckpt, tensors, meta={**meta, "adam_t": 0})
+        resumed, tail = resume(ckpt, records[:4])
+        assert len(tail.curve) == 2 and tail.curve == full.curve[2:]
+        for k in model.params:
+            assert np.array_equal(resumed.params[k].data, model.params[k].data)
+
     def test_checkpoint_round_trip_contents(self, vocab, records, tmp_path):
         model = _tiny_model(vocab, seed=9)
         cfg = TrainConfig(epochs=1, batch_size=4, lr=1e-3, seed=3, checkpoint_every=1)
         result = train(model, records[:4], cfg, out_dir=tmp_path)
         state = load_checkpoint(tmp_path / "checkpoint_00001.bin")
         assert state.epoch == 1
-        assert state.step == len(result.curve)
         assert state.curve == result.curve
-        assert state.adam.t == state.step
+        assert state.adam.t == len(result.curve)  # one Adam update per step
         assert state.cfg == cfg
         assert state.weights == LossWeights()
         for k in model.params:
@@ -417,10 +431,10 @@ class TestTrain:
         assert all(m.flags.writeable and v.flags.writeable for m, v in zip(adam.m.values(), adam.v.values()))
 
     @pytest.mark.parametrize("edit", [
-        *(lambda meta, key=key: meta.pop(key) for key in ("adam_t", "rng_state", "loss_weights", "step", "curve")),
+        *(lambda meta, key=key: meta.pop(key) for key in ("rng_state", "loss_weights", "step", "curve")),
         lambda meta: meta["config"].update(n_experts=4),
         lambda meta: meta["train_config"].update(warmup=3),
-    ], ids=["no-adam_t", "no-rng_state", "no-loss_weights", "no-step", "no-curve", "config-key", "train-config-key"])
+    ], ids=["no-rng_state", "no-loss_weights", "no-step", "no-curve", "config-key", "train-config-key"])
     def test_malformed_checkpoint_metadata_rejected(self, vocab, records, tmp_path, edit):
         from hlsdbg.tensorstore import load_tensors, save_tensors
 
